@@ -115,7 +115,7 @@ fn run(failover: bool, prom_only: bool) -> i32 {
     let rows = tb.sim.with::<Host, _>(tb.primary, |h, _| {
         h.filter_mut()
             .as_any_mut()
-            .downcast_mut::<PrimaryBridge>()
+            .downcast_mut::<ChainBridge>()
             .map(|b| b.connection_rows())
             .unwrap_or_default()
     });
@@ -646,9 +646,9 @@ fn health(args: &[String]) -> i32 {
         let snap = tb.metrics_snapshot();
         println!("\n{}", snap.to_prometheus());
         let secondary = tb.secondary.expect("replicated testbed");
-        if let Some(alerts) = tb.with_health_monitor(secondary, |m| {
-            m.alerts_prometheus("core.detector.secondary")
-        }) {
+        if let Some(alerts) =
+            tb.with_health_monitor(secondary, |m| m.alerts_prometheus("core.chain.r1"))
+        {
             print!("{alerts}");
         }
     }

@@ -48,6 +48,12 @@
 //! elapses (a chain with no head at all is worse than a shaky head).
 //! After any takeover the chain can be re-provisioned — see
 //! [`crate::reprovision`].
+//!
+//! The paper's primary/secondary pair runs on the same controller as a
+//! depth-2 chain ([`crate::testbed::Testbed`]). A dead downstream
+//! neighbour whose loss degraded this link to §6 rejoins on its next
+//! heartbeat (partial reintegration, DESIGN §7); any other beat from a
+//! dead peer is late and never counts as liveness.
 
 use crate::designation::{ConnKey, FailoverConfig};
 use crate::detector::{DetectorConfig, HB_RING, HEARTBEAT_V1_LEN};
@@ -585,6 +591,7 @@ struct ChainInstruments {
     heartbeats_received: Counter,
     promotions: Counter,
     vetoes: Counter,
+    rejoins: Counter,
 }
 
 /// Multiples of the detector timeout a vetoed promotion waits before
@@ -631,12 +638,19 @@ pub struct ChainController {
     telemetry: Option<ChainInstruments>,
     /// When this replica promoted itself to head, if it did.
     pub promoted_at: Option<SimTime>,
+    /// When this replica last declared a peer dead, if it has.
+    pub peer_dead_at: Option<SimTime>,
     /// Heartbeats sent.
     pub heartbeats_sent: u64,
     /// Heartbeats received.
     pub heartbeats_received: u64,
     /// Times a promotion was vetoed on self-health.
     pub promotions_vetoed: u64,
+    /// Times a dead downstream peer came back and was reintegrated.
+    pub rejoins: u64,
+    /// Heartbeats from dead peers that were not rejoins (counted, never
+    /// trusted for liveness).
+    pub late_heartbeats: u64,
 }
 
 impl ChainController {
@@ -650,7 +664,7 @@ impl ChainController {
         assert!(chain.len() >= 2, "a chain needs at least two replicas");
         assert!(my_index < chain.len());
         let n = chain.len();
-        let health_cfg = crate::testbed::health_config(&config);
+        let health_cfg = config.health_config();
         ChainController {
             chain,
             my_index,
@@ -670,9 +684,12 @@ impl ChainController {
             pending_reconfigure: false,
             telemetry: None,
             promoted_at: None,
+            peer_dead_at: None,
             heartbeats_sent: 0,
             heartbeats_received: 0,
             promotions_vetoed: 0,
+            rejoins: 0,
+            late_heartbeats: 0,
         }
     }
 
@@ -692,9 +709,9 @@ impl ChainController {
         self.self_monitor.score()
     }
 
-    /// The health score of peer `i`, if tracked.
-    pub fn peer_score(&self, i: usize) -> Option<HealthScore> {
-        (i < self.trackers.len() && i != self.my_index).then(|| self.trackers[i].monitor.score())
+    /// The health monitor scoring peer `i`, if tracked.
+    pub fn peer_monitor(&self, i: usize) -> Option<&HealthMonitor> {
+        (i < self.trackers.len() && i != self.my_index).then(|| &*self.trackers[i].monitor)
     }
 
     /// Whether peer `i` is currently considered alive.
@@ -734,11 +751,14 @@ impl ChainController {
         }
     }
 
-    /// Connects the controller to a telemetry hub: heartbeat and
-    /// promotion counters under `core.chain`, journal entries for
-    /// every liveness/promotion event, and §5 timeline marks.
+    /// Connects the controller to a telemetry hub: heartbeat, promotion
+    /// and rejoin counters under `core.chain.r{index}` (so replicas
+    /// sharing a hub stay apart), journal entries under `core.chain`
+    /// for every liveness/promotion event, and §5 timeline marks.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
-        let scope = telemetry.registry.scope("core.chain");
+        let scope = telemetry
+            .registry
+            .scope(&format!("core.chain.r{}", self.my_index));
         self.telemetry = Some(ChainInstruments {
             hub: telemetry.clone(),
             scope: "core.chain",
@@ -746,6 +766,7 @@ impl ChainController {
             heartbeats_received: scope.counter("heartbeats_received"),
             promotions: scope.counter("promotions"),
             vetoes: scope.counter("promotions_vetoed"),
+            rejoins: scope.counter("rejoins"),
         });
     }
 
@@ -1063,6 +1084,35 @@ impl ChainController {
             }
         }
     }
+
+    /// Partial reintegration (DESIGN §7): a heartbeat from dead peer
+    /// `i` that is this link's downstream, while its loss keeps the
+    /// link degraded by §6, means the downstream rebooted. The merge
+    /// bridge replicates *new* connections again; connections degraded
+    /// by §6 finish on their pass-through tombstones. Returns whether
+    /// the peer rejoined.
+    fn try_rejoin(&mut self, i: usize, services: &mut HostServices<'_, '_>) -> bool {
+        match services.filter.as_any_mut().downcast_mut::<ChainBridge>() {
+            Some(cb)
+                if cb.downstream == self.chain[i]
+                    && cb.inner.mode() == PrimaryMode::SecondaryFailed =>
+            {
+                cb.inner.reintegrate()
+            }
+            _ => return false,
+        }
+        // A fresh incarnation: its heartbeat seqs restart from zero.
+        self.alive[i] = true;
+        self.trackers[i] = PeerTracker::new(self.health_cfg);
+        self.rejoins += 1;
+        if let Some(t) = &self.telemetry {
+            t.rejoins.inc();
+        }
+        let now = services.now;
+        self.journal(now, "chain.rejoin", &[("peer", self.chain[i].to_string())]);
+        self.trace_instant("chain.rejoin", now, [Some(("peer", i as u64)), None]);
+        true
+    }
 }
 
 impl HostController for ChainController {
@@ -1101,17 +1151,15 @@ impl HostController for ChainController {
 
         // Score every live peer: misses from silence, then one monitor
         // tick; silence past the timeout declares death (the §2
-        // boundary the pair detector uses, at which point the score's
-        // liveness axis has already bottomed out).
-        let interval = self.config.interval.as_nanos().max(1);
+        // boundary, at which point the score's liveness axis has
+        // already bottomed out).
         let mut changed = false;
         for i in 0..self.chain.len() {
             if i == self.my_index || !self.alive[i] {
                 continue;
             }
             let last = *self.last_heard[i].get_or_insert(now);
-            let silence = now.duration_since(last).as_nanos();
-            let misses = (silence / interval).min(u32::MAX as u64) as u32;
+            let misses = self.config.misses_since(last, now).min(u32::MAX as u64) as u32;
             if misses > self.traced_misses[i] {
                 self.trace_instant(
                     "hb.miss",
@@ -1148,8 +1196,9 @@ impl HostController for ChainController {
                     [Some(("peer", i as u64)), Some(("score", score))],
                 );
             }
-            if silence > self.config.timeout.as_nanos() {
+            if self.config.silence_expired(last, now) {
                 self.alive[i] = false;
+                self.peer_dead_at = Some(now);
                 changed = true;
                 self.mark(FailoverPhase::Detection, now);
                 self.journal(
@@ -1197,11 +1246,14 @@ impl HostController for ChainController {
         let now = services.now;
         self.last_heard[i] = Some(now);
         self.traced_misses[i] = 0;
-        if !self.alive[i] {
-            // A beat from a peer we already declared dead: count it as
-            // late, never trust it for liveness (its successor may own
-            // its duties by now; recovery goes through reprovisioning).
+        if !self.alive[i] && !self.try_rejoin(i, services) {
+            // A beat from a peer we already declared dead that cannot
+            // rejoin here: count it as late, never trust it for
+            // liveness (its successor may own its duties by now;
+            // recovery goes through reprovisioning).
+            self.late_heartbeats += 1;
             self.trackers[i].monitor.replica.on_late_heartbeat();
+            self.journal(now, "chain.late_heartbeat", &[("peer", src.to_string())]);
             return;
         }
         self.heartbeats_received += 1;
@@ -1611,7 +1663,7 @@ mod tests {
         c.append_replica(b3);
         assert_eq!(c.chain_len(), 4);
         assert!(c.peer_alive(3));
-        assert!(c.peer_score(3).is_some());
+        assert!(c.peer_monitor(3).is_some());
         c.set_peer_dead(VIP);
         assert!(!c.peer_alive(0));
         // nearest_alive_up skips the dead head.

@@ -10,8 +10,8 @@
 //! Since PR9 the testbed carries the chain's full observability and
 //! reprovisioning surface:
 //!
-//! * every replica gets its **own** telemetry hub (controllers publish
-//!   under `core.chain`, so sharing a registry would collide), with
+//! * every replica gets its **own** telemetry hub (so each replica's
+//!   §5 timeline and journal stay separate), with
 //!   the auditor / latency / health observatories attached per the
 //!   `TCPFO_AUDIT` / `TCPFO_LATENCY` / `TCPFO_HEALTH` knobs (or the
 //!   explicit [`ChainConfig`] overrides);

@@ -21,8 +21,11 @@
 //! * [`flow`] — the sharded flow table both bridges store per-flow
 //!   state in: explicit lifecycle, capacity limits, LRU eviction,
 //!   timer-driven GC, per-shard stats.
-//! * [`detector`] — heartbeat fault detector and the §5/§6 failover
-//!   procedures (IP takeover via gratuitous ARP + TCB re-keying).
+//! * [`detector`] — heartbeat parameters and wire format.
+//! * [`chain`] — the replica control plane for every replication
+//!   depth: heartbeat fault detection, the §5 takeover (IP takeover via
+//!   gratuitous ARP + TCB re-keying), §6 degradation and rejoin, plus
+//!   the bridge for head and middle links.
 //! * [`testbed`] — the paper's Figure-1 topology (client, router,
 //!   shared segment, P, S, optional back-end T) as a one-call builder,
 //!   including the standard-TCP baseline and the switch ablation.
@@ -54,7 +57,7 @@ pub mod testbed;
 pub use chain::{ChainBridge, ChainController, ChainStats, TakeoverState};
 pub use chain_testbed::{ChainConfig, ChainTestbed};
 pub use designation::{ConnKey, FailoverConfig};
-pub use detector::{DetectorConfig, ReplicaController, Role};
+pub use detector::DetectorConfig;
 pub use flow::{FlowKey, FlowState, FlowTable, FlowTableConfig};
 pub use primary::{ConnRow, PrimaryBridge, PrimaryMode, PrimaryStats};
 pub use reprovision::{FlowHandoff, ReprovisionPhase, ReprovisionTracker};

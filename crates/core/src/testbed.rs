@@ -12,9 +12,16 @@
 //! secondary, no bridges) used by every comparison in §9, the
 //! **failover** configuration, the switched-segment ablation, and the
 //! WAN variant for the FTP experiment (Fig. 6).
+//!
+//! The replicated pair is a depth-2 chain: P runs the head
+//! [`ChainBridge`] (its own address is the service address, so the
+//! chain adaptation is a transparent wrapper around the §3 merge), S
+//! runs a [`SecondaryBridge`], and both run a [`ChainController`] over
+//! `[a_p, a_s]`.
 
+use crate::chain::{ChainBridge, ChainController};
 use crate::designation::FailoverConfig;
-use crate::detector::{DetectorConfig, ReplicaController, Role};
+use crate::detector::DetectorConfig;
 use crate::flow::FlowTableConfig;
 use crate::primary::PrimaryBridge;
 use crate::secondary::SecondaryBridge;
@@ -33,9 +40,11 @@ use tcpfo_telemetry::health::env_health_enabled;
 use tcpfo_telemetry::latency::env_latency_enabled;
 use tcpfo_telemetry::span::{env_trace_capacity, env_trace_enabled};
 use tcpfo_telemetry::{
-    AuditConfig, FailoverPhase, HealthConfig, HealthMonitor, HealthObservatory, InvariantAuditor,
-    LatencyObservatory, MetricsSnapshot, Telemetry,
+    AuditConfig, FailoverPhase, HealthMonitor, HealthObservatory, InvariantAuditor,
+    LatencyObservatory, MetricsSnapshot, SpanSampler, Telemetry,
 };
+use tcpfo_wire::ipv4::Ipv4Addr;
+use tcpfo_wire::mac::MacAddr;
 
 /// Well-known testbed addresses.
 pub mod addrs {
@@ -136,9 +145,9 @@ pub struct TestbedConfig {
     /// `None` follows the `TCPFO_LATENCY` environment knob; `Some(_)`
     /// overrides it.
     pub latency: Option<bool>,
-    /// Attach the replica health observatory to both bridges and an
-    /// advisory health monitor to both fault detectors. `None` follows
-    /// the `TCPFO_HEALTH` environment knob; `Some(_)` overrides it.
+    /// Attach the replica health observatory (replication-lag ledger)
+    /// to both bridges. `None` follows the `TCPFO_HEALTH` environment
+    /// knob; `Some(_)` overrides it.
     pub health: Option<bool>,
     /// Arm the failover span tracer (PR10): attach the hub's span ring
     /// and a hot-path batch sampler on the primary bridge. `None`
@@ -216,16 +225,93 @@ fn flow_config_override(config: &TestbedConfig) -> Option<FlowTableConfig> {
     ))
 }
 
-/// The health-monitor tunables the testbed derives from its detector:
-/// the advisory miss limit is exactly the number of heartbeat
-/// intervals in the binary timeout, so the score bottoms out at the
-/// instant the §2 decision is about to fire.
-pub(crate) fn health_config(detector: &DetectorConfig) -> HealthConfig {
-    let interval = detector.interval.as_nanos().max(1);
-    HealthConfig {
-        miss_limit: (detector.timeout.as_nanos() / interval).max(1) as u32,
-        ..HealthConfig::default()
+/// A host on the server segment with the config's CPU model, tick and
+/// TCP settings; its ISN seed is derived from `seed` and `seed_off`.
+fn server_host(
+    config: &TestbedConfig,
+    telemetry: &Telemetry,
+    label: &str,
+    mac: MacAddr,
+    ip: Ipv4Addr,
+    seed_off: u64,
+) -> Host {
+    let tcp = config
+        .tcp
+        .clone()
+        .with_isn_seed(config.seed ^ (seed_off << 32));
+    let mut cfg = HostConfig::new(label, mac, ip)
+        .with_gateway(addrs::GW_SERVER)
+        .with_tcp(tcp);
+    cfg.cpu = config.cpu;
+    cfg.tick = config.tick;
+    let mut host = Host::new(cfg);
+    host.set_telemetry(telemetry);
+    host
+}
+
+/// Replica `index` of the pair (0 = P, 1 = S): a server host with its
+/// bridge, the observatories the config asks for (the auditor labelled
+/// `audit_label`), and the depth-2 chain controller. Both
+/// [`Testbed::new`] and [`Testbed::revive_secondary`] build replicas
+/// here, so a revived secondary is configured like the original.
+fn replica_host(
+    config: &TestbedConfig,
+    telemetry: &Telemetry,
+    index: usize,
+    audit_label: &str,
+) -> Host {
+    use addrs::{A_P, A_S};
+    let mut host = match index {
+        0 => server_host(config, telemetry, "primary", macs::PRIMARY, A_P, 2),
+        _ => server_host(config, telemetry, "secondary", macs::SECONDARY, A_S, 3),
+    };
+    let fo = FailoverConfig::from_ports(config.failover_ports.iter().copied());
+    let flow = flow_config_override(config);
+    let audit = config.audit.unwrap_or_else(env_audit_enabled).then(|| {
+        Box::new(InvariantAuditor::new(AuditConfig::from_env(audit_label)).with_hub(telemetry))
+    });
+    let latency = config
+        .latency
+        .unwrap_or_else(env_latency_enabled)
+        .then(|| Box::new(LatencyObservatory::new()));
+    let health = config
+        .health
+        .unwrap_or_else(env_health_enabled)
+        .then(|| Box::new(HealthObservatory::new()));
+    if index == 0 {
+        let mut bridge = ChainBridge::new(A_P, A_P, None, A_S, fo);
+        if let Some(fc) = flow {
+            bridge.set_flow_config(fc);
+        }
+        bridge.set_telemetry(telemetry);
+        bridge.set_audit(audit);
+        bridge.set_latency(latency);
+        bridge.set_health(health);
+        if config.span_trace.unwrap_or_else(env_trace_enabled) {
+            bridge.set_trace(Some(Box::new(SpanSampler::with_default_period(
+                telemetry.trace.clone(),
+            ))));
+        }
+        host.set_filter(Box::new(bridge));
+    } else {
+        let mut bridge = SecondaryBridge::new(A_P, A_S, fo);
+        if let Some(fc) = flow {
+            bridge.set_flow_config(fc);
+        }
+        bridge.set_telemetry(telemetry);
+        bridge.set_audit(audit);
+        bridge.set_latency(latency);
+        bridge.set_health(health);
+        host.set_filter(Box::new(bridge));
+        host.net_mut().promiscuous = true;
     }
+    let mut controller = ChainController::new(vec![A_P, A_S], index, config.detector);
+    controller.set_telemetry(telemetry);
+    host.set_controller(Box::new(controller));
+    for &p in &config.failover_ports {
+        host.stack_mut().add_failover_port(p);
+    }
+    host
 }
 
 /// The assembled testbed.
@@ -258,11 +344,7 @@ impl Testbed {
             Some(cap) => Telemetry::with_journal_capacity(cap),
             None => Telemetry::from_env(),
         };
-        let audit_on = config.audit.unwrap_or_else(env_audit_enabled);
-        let latency_on = config.latency.unwrap_or_else(env_latency_enabled);
-        let health_on = config.health.unwrap_or_else(env_health_enabled);
-        let span_trace_on = config.span_trace.unwrap_or_else(env_trace_enabled);
-        if span_trace_on {
+        if config.span_trace.unwrap_or_else(env_trace_enabled) {
             telemetry.trace.attach(env_trace_capacity());
         }
         let mut sim = Simulator::new(config.seed);
@@ -294,132 +376,32 @@ impl Testbed {
             config.router_delay,
         )));
 
-        let mk_tcp = |seed_off: u64| {
-            config
-                .tcp
-                .clone()
-                .with_isn_seed(config.seed ^ (seed_off << 32))
-        };
-        let mk_host = |label: &str, mac, ip, tcp: TcpConfig| {
-            let mut h = HostConfig::new(label, mac, ip)
-                .with_gateway(addrs::GW_SERVER)
-                .with_tcp(tcp);
-            h.cpu = config.cpu;
-            h.tick = config.tick;
-            h
-        };
-
         // Client.
         let mut client_cfg = HostConfig::new("client", macs::CLIENT, addrs::A_C)
             .with_gateway(addrs::GW_CLIENT)
-            .with_tcp(mk_tcp(1));
+            .with_tcp(config.tcp.clone().with_isn_seed(config.seed ^ (1 << 32)));
         client_cfg.cpu = config.client_cpu;
         client_cfg.tick = config.tick;
         let mut client_host = Host::new(client_cfg);
         client_host.set_telemetry(&telemetry);
         let client = spawn_host(&mut sim, client_host);
 
-        // Primary.
-        let mut primary_host = Host::new(mk_host("primary", macs::PRIMARY, addrs::A_P, mk_tcp(2)));
-        primary_host.set_telemetry(&telemetry);
-        if config.replicated {
-            let fo = FailoverConfig::from_ports(config.failover_ports.iter().copied());
-            let mut bridge = PrimaryBridge::new(addrs::A_P, addrs::A_S, fo);
-            if let Some(fc) = flow_config_override(&config) {
-                bridge.set_flow_config(fc);
-            }
-            bridge.set_telemetry(&telemetry);
-            if audit_on {
-                bridge.set_audit(Some(Box::new(
-                    InvariantAuditor::new(AuditConfig::from_env("primary")).with_hub(&telemetry),
-                )));
-            }
-            if latency_on {
-                bridge.set_latency(Some(Box::new(LatencyObservatory::new())));
-            }
-            if health_on {
-                bridge.set_health(Some(Box::new(HealthObservatory::new())));
-            }
-            if span_trace_on {
-                bridge.set_trace(Some(Box::new(
-                    tcpfo_telemetry::SpanSampler::with_default_period(telemetry.trace.clone()),
-                )));
-            }
-            primary_host.set_filter(Box::new(bridge));
-            let mut controller = ReplicaController::new(
-                Role::Primary,
-                addrs::A_S,
-                addrs::A_P,
-                addrs::A_S,
-                config.detector,
-            );
-            controller.set_telemetry(&telemetry);
-            if health_on {
-                controller.set_health_monitor(Some(Box::new(HealthMonitor::new(health_config(
-                    &config.detector,
-                )))));
-            }
-            primary_host.set_controller(Box::new(controller));
-            for &p in &config.failover_ports {
-                primary_host.stack_mut().add_failover_port(p);
-            }
-        }
-        let primary = spawn_host(&mut sim, primary_host);
-
-        // Secondary.
-        let secondary = if config.replicated {
-            let mut cfg = mk_host("secondary", macs::SECONDARY, addrs::A_S, mk_tcp(3));
-            cfg.promiscuous = true;
-            let mut host = Host::new(cfg);
-            host.set_telemetry(&telemetry);
-            let fo = FailoverConfig::from_ports(config.failover_ports.iter().copied());
-            let mut bridge = SecondaryBridge::new(addrs::A_P, addrs::A_S, fo);
-            if let Some(fc) = flow_config_override(&config) {
-                bridge.set_flow_config(fc);
-            }
-            bridge.set_telemetry(&telemetry);
-            if audit_on {
-                bridge.set_audit(Some(Box::new(
-                    InvariantAuditor::new(AuditConfig::from_env("secondary")).with_hub(&telemetry),
-                )));
-            }
-            if latency_on {
-                bridge.set_latency(Some(Box::new(LatencyObservatory::new())));
-            }
-            if health_on {
-                bridge.set_health(Some(Box::new(HealthObservatory::new())));
-            }
-            host.set_filter(Box::new(bridge));
-            let mut controller = ReplicaController::new(
-                Role::Secondary,
-                addrs::A_P,
-                addrs::A_P,
-                addrs::A_S,
-                config.detector,
-            );
-            controller.set_telemetry(&telemetry);
-            if health_on {
-                controller.set_health_monitor(Some(Box::new(HealthMonitor::new(health_config(
-                    &config.detector,
-                )))));
-            }
-            host.set_controller(Box::new(controller));
-            for &p in &config.failover_ports {
-                host.stack_mut().add_failover_port(p);
-            }
-            Some(spawn_host(&mut sim, host))
+        // Primary and secondary.
+        let primary_host = if config.replicated {
+            replica_host(&config, &telemetry, 0, "primary")
         } else {
-            None
+            server_host(&config, &telemetry, "primary", macs::PRIMARY, addrs::A_P, 2)
         };
+        let primary = spawn_host(&mut sim, primary_host);
+        let secondary = config
+            .replicated
+            .then(|| spawn_host(&mut sim, replica_host(&config, &telemetry, 1, "secondary")));
 
         // Back-end.
-        let backend = if config.with_backend {
-            let mut host = Host::new(mk_host("backend", macs::BACKEND, addrs::A_T, mk_tcp(4)));
-            host.set_telemetry(&telemetry);
-            Some(spawn_host(&mut sim, host))
-        } else {
-            None
-        };
+        let backend = config.with_backend.then(|| {
+            let host = server_host(&config, &telemetry, "backend", macs::BACKEND, addrs::A_T, 4);
+            spawn_host(&mut sim, host)
+        });
 
         // Wiring.
         let attach = match config.segment {
@@ -545,52 +527,7 @@ impl Testbed {
     /// reinstalled by the caller.
     pub fn revive_secondary(&mut self) {
         let s = self.secondary.expect("replicated testbed");
-        let mut cfg = HostConfig::new("secondary", macs::SECONDARY, addrs::A_S)
-            .with_gateway(addrs::GW_SERVER)
-            .with_tcp(
-                self.config
-                    .tcp
-                    .clone()
-                    .with_isn_seed(self.config.seed ^ (3 << 32)),
-            );
-        cfg.cpu = self.config.cpu;
-        cfg.tick = self.config.tick;
-        cfg.promiscuous = true;
-        let mut host = Host::new(cfg);
-        host.set_telemetry(&self.telemetry);
-        let fo = FailoverConfig::from_ports(self.config.failover_ports.iter().copied());
-        let mut bridge = SecondaryBridge::new(addrs::A_P, addrs::A_S, fo);
-        bridge.set_telemetry(&self.telemetry);
-        if self.config.audit.unwrap_or_else(env_audit_enabled) {
-            bridge.set_audit(Some(Box::new(
-                InvariantAuditor::new(AuditConfig::from_env("secondary-revived"))
-                    .with_hub(&self.telemetry),
-            )));
-        }
-        if self.config.latency.unwrap_or_else(env_latency_enabled) {
-            bridge.set_latency(Some(Box::new(LatencyObservatory::new())));
-        }
-        if self.config.health.unwrap_or_else(env_health_enabled) {
-            bridge.set_health(Some(Box::new(HealthObservatory::new())));
-        }
-        host.set_filter(Box::new(bridge));
-        let mut controller = ReplicaController::new(
-            Role::Secondary,
-            addrs::A_P,
-            addrs::A_P,
-            addrs::A_S,
-            self.config.detector,
-        );
-        controller.set_telemetry(&self.telemetry);
-        if self.config.health.unwrap_or_else(env_health_enabled) {
-            controller.set_health_monitor(Some(Box::new(HealthMonitor::new(health_config(
-                &self.config.detector,
-            )))));
-        }
-        host.set_controller(Box::new(controller));
-        for &p in &self.config.failover_ports {
-            host.stack_mut().add_failover_port(p);
-        }
+        let host = replica_host(&self.config, &self.telemetry, 1, "secondary-revived");
         self.sim.replace_device(s, Box::new(host));
         self.sim
             .schedule_timer(s, SimDuration::ZERO, tcpfo_tcp::host::TOKEN_TICK);
@@ -605,35 +542,34 @@ impl Testbed {
         self.sim.run_for(d);
     }
 
+    /// Runs `f` against `node`'s bridge, if it runs a `B`.
+    fn with_bridge<B: 'static, R>(
+        &mut self,
+        node: NodeId,
+        f: impl FnOnce(&mut B) -> R,
+    ) -> Option<R> {
+        self.sim.with::<Host, _>(node, move |h, _| {
+            h.filter_mut().as_any_mut().downcast_mut::<B>().map(f)
+        })
+    }
+
     /// Snapshot of the primary bridge statistics.
     pub fn primary_stats(&mut self) -> crate::primary::PrimaryStats {
-        self.sim.with::<Host, _>(self.primary, |h, _| {
-            h.filter_mut()
-                .as_any_mut()
-                .downcast_mut::<PrimaryBridge>()
-                .expect("primary bridge installed")
-                .stats
-                .clone()
-        })
+        self.with_bridge(self.primary, |b: &mut ChainBridge| b.inner().stats.clone())
+            .expect("primary bridge installed")
     }
 
     /// Snapshot of the secondary bridge statistics.
     pub fn secondary_stats(&mut self) -> crate::secondary::SecondaryStats {
         let s = self.secondary.expect("replicated testbed");
-        self.sim.with::<Host, _>(s, |h, _| {
-            h.filter_mut()
-                .as_any_mut()
-                .downcast_mut::<SecondaryBridge>()
-                .expect("secondary bridge installed")
-                .stats
-                .clone()
-        })
+        self.with_bridge(s, |b: &mut SecondaryBridge| b.stats.clone())
+            .expect("secondary bridge installed")
     }
 
-    /// When the surviving replica detected the peer failure, if it has.
+    /// When `node`'s controller declared its peer dead, if it has.
     pub fn failover_detected_at(&mut self, node: NodeId) -> Option<tcpfo_net::time::SimTime> {
         self.sim.with::<Host, _>(node, |h, _| {
-            h.controller_mut::<ReplicaController>().peer_failed_at
+            h.controller_mut::<ChainController>().peer_dead_at
         })
     }
 
@@ -642,21 +578,9 @@ impl Testbed {
     /// one (bridges otherwise publish lazily, on their next segment).
     fn sync_bridge_telemetry(&mut self) {
         let now = self.sim.now().as_nanos();
-        self.sim.with::<Host, _>(self.primary, |h, _| {
-            if let Some(b) = h.filter_mut().as_any_mut().downcast_mut::<PrimaryBridge>() {
-                b.sync_telemetry(now);
-            }
-        });
+        self.with_bridge(self.primary, |b: &mut ChainBridge| b.sync_telemetry(now));
         if let Some(s) = self.secondary {
-            self.sim.with::<Host, _>(s, |h, _| {
-                if let Some(b) = h
-                    .filter_mut()
-                    .as_any_mut()
-                    .downcast_mut::<SecondaryBridge>()
-                {
-                    b.sync_telemetry(now);
-                }
-            });
+            self.with_bridge(s, |b: &mut SecondaryBridge| b.sync_telemetry(now));
         }
     }
 
@@ -695,28 +619,14 @@ impl Testbed {
 
     /// Runs `f` against the primary bridge's attached auditor, if any.
     pub fn with_primary_audit<R>(&mut self, f: impl FnOnce(&InvariantAuditor) -> R) -> Option<R> {
-        self.sim.with::<Host, _>(self.primary, move |h, _| {
-            let aud = h
-                .filter_mut()
-                .as_any_mut()
-                .downcast_mut::<PrimaryBridge>()?
-                .audit()?;
-            Some(f(aud))
-        })
+        self.with_bridge(self.primary, |b: &mut ChainBridge| b.audit().map(f))?
     }
 
     /// Runs `f` against the secondary bridge's attached auditor, if
     /// any.
     pub fn with_secondary_audit<R>(&mut self, f: impl FnOnce(&InvariantAuditor) -> R) -> Option<R> {
         let s = self.secondary?;
-        self.sim.with::<Host, _>(s, move |h, _| {
-            let aud = h
-                .filter_mut()
-                .as_any_mut()
-                .downcast_mut::<SecondaryBridge>()?
-                .audit()?;
-            Some(f(aud))
-        })
+        self.with_bridge(s, |b: &mut SecondaryBridge| b.audit().map(f))?
     }
 
     /// Runs `f` against the primary bridge's attached latency
@@ -725,14 +635,7 @@ impl Testbed {
         &mut self,
         f: impl FnOnce(&LatencyObservatory) -> R,
     ) -> Option<R> {
-        self.sim.with::<Host, _>(self.primary, move |h, _| {
-            let obs = h
-                .filter_mut()
-                .as_any_mut()
-                .downcast_mut::<PrimaryBridge>()?
-                .latency()?;
-            Some(f(obs))
-        })
+        self.with_bridge(self.primary, |b: &mut ChainBridge| b.latency().map(f))?
     }
 
     /// Runs `f` against the secondary bridge's attached latency
@@ -742,53 +645,35 @@ impl Testbed {
         f: impl FnOnce(&LatencyObservatory) -> R,
     ) -> Option<R> {
         let s = self.secondary?;
-        self.sim.with::<Host, _>(s, move |h, _| {
-            let obs = h
-                .filter_mut()
-                .as_any_mut()
-                .downcast_mut::<SecondaryBridge>()?
-                .latency()?;
-            Some(f(obs))
-        })
+        self.with_bridge(s, |b: &mut SecondaryBridge| b.latency().map(f))?
     }
 
-    /// Runs `f` against the primary bridge itself — for checks that
-    /// need more than one attached observatory at once (e.g. pairing
-    /// the replication-lag ledger with an oracle walk over
+    /// Runs `f` against the primary's merge bridge itself — for checks
+    /// that need more than one attached observatory at once (e.g.
+    /// pairing the replication-lag ledger with an oracle walk over
     /// [`PrimaryBridge::connection_rows`]).
     pub fn with_primary_bridge<R>(&mut self, f: impl FnOnce(&PrimaryBridge) -> R) -> Option<R> {
-        self.sim.with::<Host, _>(self.primary, move |h, _| {
-            let bridge = h
-                .filter_mut()
-                .as_any_mut()
-                .downcast_mut::<PrimaryBridge>()?;
-            Some(f(bridge))
-        })
+        self.with_bridge(self.primary, |b: &mut ChainBridge| f(b.inner()))
     }
 
     /// Runs `f` against the primary bridge's attached health
     /// observatory (the replication-lag ledger), if any.
     pub fn with_primary_health<R>(&mut self, f: impl FnOnce(&HealthObservatory) -> R) -> Option<R> {
-        self.sim.with::<Host, _>(self.primary, move |h, _| {
-            let obs = h
-                .filter_mut()
-                .as_any_mut()
-                .downcast_mut::<PrimaryBridge>()?
-                .health()?;
-            Some(f(obs))
-        })
+        self.with_bridge(self.primary, |b: &mut ChainBridge| b.health().map(f))?
     }
 
-    /// Runs `f` against the health monitor attached to `node`'s fault
-    /// detector, if any.
+    /// Runs `f` against the health monitor with which `node`'s
+    /// controller scores its peer (S's view of P, or P's view of S).
     pub fn with_health_monitor<R>(
         &mut self,
         node: NodeId,
         f: impl FnOnce(&HealthMonitor) -> R,
     ) -> Option<R> {
+        let peer = usize::from(node == self.primary);
         self.sim.with::<Host, _>(node, move |h, _| {
-            let mon = h.controller_mut::<ReplicaController>().health_monitor()?;
-            Some(f(mon))
+            h.controller_mut::<ChainController>()
+                .peer_monitor(peer)
+                .map(f)
         })
     }
 

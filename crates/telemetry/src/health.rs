@@ -24,8 +24,8 @@
 //!   sim time by default) over the "replica is healthy" SLO, feeding a
 //!   hysteretic [`AlertMachine`] (`Ok → Warn → Critical`) whose
 //!   transitions land in a bounded [`AlertJournal`].
-//! * [`HealthMonitor`] — the detector-side composite the
-//!   `ReplicaController` drives: publishes the score *alongside* the
+//! * [`HealthMonitor`] — the detector-side composite the replica
+//!   control plane keeps per peer: scores the peer *alongside* the
 //!   binary heartbeat decision, making the eventual policy swap a
 //!   one-line change.
 //!
@@ -952,9 +952,9 @@ struct HealthGauges {
 }
 
 /// The detector-side composite: per-replica estimators, SLO burn-rate
-/// windows, the alert machine and its journal. The `ReplicaController`
-/// owns one behind `Option<Box<...>>` and publishes its score
-/// *alongside* the binary heartbeat decision.
+/// windows, the alert machine and its journal. The replica control
+/// plane keeps one per peer and scores it *alongside* the binary
+/// heartbeat decision.
 #[derive(Debug)]
 pub struct HealthMonitor {
     /// Scoring/alerting tunables.
@@ -1385,11 +1385,10 @@ mod tests {
         let mut m = HealthMonitor::new(HealthConfig::default());
         m.replica.on_heartbeat_rtt(2_000_000);
         m.tick(1_000_000);
-        m.publish(&reg.scope("core.detector.primary"), 1_000_000);
+        m.publish(&reg.scope("core.chain.r0"), 1_000_000);
         let snap = reg.snapshot(1_000_000);
         assert_eq!(
-            snap.gauge("core.detector.primary.health.score")
-                .map(|g| g.value),
+            snap.gauge("core.chain.r0.health.score").map(|g| g.value),
             Some(98) // rtt axis 90 at 2 ms / 20 ms ceiling, rest 100
         );
         let json = m.to_json(1_000_000);

@@ -6,7 +6,7 @@
 use tcp_failover::apps::driver::{BulkSendClient, RequestReplyClient};
 use tcp_failover::apps::stream::{SinkServer, SourceServer};
 use tcp_failover::core::testbed::{addrs, Testbed, TestbedConfig};
-use tcp_failover::core::PrimaryBridge;
+use tcp_failover::core::ChainBridge;
 use tcp_failover::net::time::SimDuration;
 use tcp_failover::tcp::host::Host;
 use tcp_failover::tcp::types::SocketAddr;
@@ -162,7 +162,7 @@ fn bridge_state_scales_and_cleans_up() {
     let conns = tb.sim.with::<Host, _>(tb.primary, |h, _| {
         h.filter_mut()
             .as_any_mut()
-            .downcast_mut::<PrimaryBridge>()
+            .downcast_mut::<ChainBridge>()
             .unwrap()
             .conn_count()
     });

@@ -6,9 +6,10 @@
 use tcp_failover::apps::driver::{BulkSendClient, RequestReplyClient};
 use tcp_failover::apps::store::{StoreClient, StoreServer};
 use tcp_failover::apps::stream::{SinkServer, SourceServer};
-use tcp_failover::core::detector::ReplicaController;
-use tcp_failover::core::testbed::{addrs, Testbed, TestbedConfig};
-use tcp_failover::net::time::SimDuration;
+use tcp_failover::core::detector::DetectorConfig;
+use tcp_failover::core::testbed::{addrs, macs, Testbed, TestbedConfig};
+use tcp_failover::core::{ChainBridge, ChainController, PrimaryMode};
+use tcp_failover::net::time::{SimDuration, SimTime};
 use tcp_failover::tcp::host::Host;
 use tcp_failover::tcp::types::SocketAddr;
 
@@ -177,11 +178,12 @@ fn secondary_fails_mid_download() {
         tb.sim.with::<Host, _>(tb.primary, |h, _| {
             h.filter_mut()
                 .as_any_mut()
-                .downcast_mut::<tcp_failover::core::PrimaryBridge>()
+                .downcast_mut::<ChainBridge>()
                 .unwrap()
+                .inner()
                 .mode()
         }),
-        tcp_failover::core::PrimaryMode::SecondaryFailed
+        PrimaryMode::SecondaryFailed
     );
 }
 
@@ -252,9 +254,254 @@ fn detection_latency_tracks_timeout() {
     );
     // The controller counted heartbeats both ways before the failure.
     tb.sim.with::<Host, _>(s, |h, _| {
-        let c = h.controller_mut::<ReplicaController>();
+        let c = h.controller_mut::<ChainController>();
         assert!(c.heartbeats_sent > 0);
         assert!(c.heartbeats_received > 0);
-        assert!(c.failover_done_at.is_some());
+        assert!(c.promoted_at.is_some());
     });
+}
+
+// ---------------------------------------------------------------------
+// Fault-detector edge cases (the `detector_` prefix lets CI select them)
+// ---------------------------------------------------------------------
+
+fn detector_testbed(detector: DetectorConfig) -> Testbed {
+    Testbed::new(TestbedConfig {
+        detector,
+        ..TestbedConfig::default()
+    })
+}
+
+#[test]
+fn detector_heartbeats_flow_both_ways() {
+    let mut tb = detector_testbed(DetectorConfig::default());
+    tb.run_for(SimDuration::from_millis(100));
+    for node in [tb.primary, tb.secondary.unwrap()] {
+        tb.sim.with::<Host, _>(node, |h, _| {
+            let c = h.controller_mut::<ChainController>();
+            assert!(c.heartbeats_sent >= 9, "sent {}", c.heartbeats_sent);
+            assert!(
+                c.heartbeats_received >= 8,
+                "received {}",
+                c.heartbeats_received
+            );
+            assert!(c.peer_dead_at.is_none(), "false positive");
+        });
+    }
+}
+
+#[test]
+fn detector_no_false_positives_over_long_idle() {
+    let mut tb = detector_testbed(DetectorConfig {
+        interval: SimDuration::from_millis(5),
+        timeout: SimDuration::from_millis(20),
+    });
+    tb.run_for(SimDuration::from_secs(30));
+    for node in [tb.primary, tb.secondary.unwrap()] {
+        tb.sim.with::<Host, _>(node, |h, _| {
+            assert!(
+                h.controller_mut::<ChainController>().peer_dead_at.is_none(),
+                "detector fired without a failure"
+            );
+        });
+    }
+}
+
+#[test]
+fn detector_secondary_detects_and_takes_over() {
+    let mut tb = detector_testbed(DetectorConfig::default());
+    tb.run_for(SimDuration::from_millis(50));
+    tb.kill_primary();
+    tb.run_for(SimDuration::from_millis(300));
+    let s = tb.secondary.unwrap();
+    tb.sim.with::<Host, _>(s, |h, _| {
+        let own_promisc = h.net_mut().promiscuous;
+        let has_vip = h.net_mut().local_ips.contains(&addrs::A_P);
+        let c = h.controller_mut::<ChainController>();
+        assert!(c.peer_dead_at.is_some());
+        assert!(c.promoted_at.is_some());
+        assert!(c.promoted_at >= c.peer_dead_at);
+        assert!(!own_promisc, "§5 step 2");
+        assert!(has_vip, "§5 step 5");
+    });
+}
+
+#[test]
+fn detector_primary_detects_and_degrades() {
+    let mut tb = detector_testbed(DetectorConfig::default());
+    tb.run_for(SimDuration::from_millis(50));
+    tb.kill_secondary();
+    tb.run_for(SimDuration::from_millis(300));
+    tb.sim.with::<Host, _>(tb.primary, |h, _| {
+        let mode = h
+            .filter_mut()
+            .as_any_mut()
+            .downcast_mut::<ChainBridge>()
+            .unwrap()
+            .inner()
+            .mode();
+        assert_eq!(mode, PrimaryMode::SecondaryFailed);
+        assert!(h.controller_mut::<ChainController>().peer_dead_at.is_some());
+    });
+}
+
+#[test]
+fn detector_takeover_runs_once() {
+    let mut tb = detector_testbed(DetectorConfig::default());
+    tb.run_for(SimDuration::from_millis(20));
+    // Detection keeps ticking long after the kill; the takeover must
+    // still have run exactly once.
+    tb.kill_primary();
+    tb.run_for(SimDuration::from_secs(1));
+    let s = tb.secondary.unwrap();
+    tb.sim.with::<Host, _>(s, |h, _| {
+        let vip_count = h
+            .net_mut()
+            .local_ips
+            .iter()
+            .filter(|&&a| a == addrs::A_P)
+            .count();
+        assert_eq!(vip_count, 1, "takeover ran more than once");
+    });
+}
+
+#[test]
+fn detector_silence_boundary_exactly_at_timeout_vs_one_past() {
+    let c = DetectorConfig::default();
+    let last = SimTime::ZERO + SimDuration::from_secs(1);
+    let at_limit = last + c.timeout;
+    let one_past = at_limit + SimDuration::from_nanos(1);
+    // §2: "missing heartbeats for longer than the timeout" —
+    // exactly at the limit does not fire, one nanosecond past does.
+    assert!(!c.silence_expired(last, at_limit), "fired at the limit");
+    assert!(c.silence_expired(last, one_past), "did not fire past it");
+    // The advisory miss count crosses the health miss limit at the
+    // same boundary: with timeout = 5 × interval, exactly-at-limit
+    // is 5 misses (score 0) while the binary decision still waits.
+    assert_eq!(c.misses_since(last, at_limit), 5);
+    let just_short = last + (c.timeout - SimDuration::from_nanos(1));
+    assert_eq!(c.misses_since(last, just_short), 4);
+    assert_eq!(c.misses_since(last, one_past), 5);
+    assert_eq!(c.misses_since(last, last), 0);
+    assert_eq!(c.health_config().miss_limit, 5);
+}
+
+#[test]
+fn detector_late_heartbeat_after_takeover_commit_is_not_liveness() {
+    use bytes::Bytes;
+    use tcp_failover::net::sim::Device;
+    use tcp_failover::wire::eth::{EtherType, EthernetFrame};
+    use tcp_failover::wire::ipv4::{Ipv4Packet, PROTO_HEARTBEAT};
+
+    let mut tb = Testbed::new(TestbedConfig {
+        health: Some(true),
+        ..TestbedConfig::default()
+    });
+    tb.run_for(SimDuration::from_millis(50));
+    tb.kill_primary();
+    tb.run_for(SimDuration::from_millis(300));
+    let s = tb.secondary.unwrap();
+    let (received_before, failed_at) = tb.sim.with::<Host, _>(s, |h, _| {
+        let c = h.controller_mut::<ChainController>();
+        (c.heartbeats_received, c.peer_dead_at)
+    });
+    assert!(failed_at.is_some(), "takeover did not commit");
+    // A stray heartbeat from the dead primary's address arrives after
+    // the commit (e.g. a frame that sat in a queue, or the old host
+    // rebooting mid-ARP). Deliver it straight to the secondary's NIC.
+    tb.sim.with::<Host, _>(s, |h, ctx| {
+        let pkt = Ipv4Packet::new(
+            addrs::A_P,
+            addrs::A_S,
+            PROTO_HEARTBEAT,
+            Bytes::from_static(b"HB"),
+        );
+        let frame = EthernetFrame::new(
+            macs::SECONDARY,
+            macs::PRIMARY,
+            EtherType::Ipv4,
+            pkt.encode(),
+        );
+        h.handle_frame(0, frame.encode(), ctx);
+    });
+    tb.run_for(SimDuration::from_millis(20));
+    tb.sim.with::<Host, _>(s, |h, _| {
+        let c = h.controller_mut::<ChainController>();
+        assert_eq!(c.late_heartbeats, 1, "late beat not counted");
+        assert_eq!(
+            c.heartbeats_received, received_before,
+            "late beat counted as liveness"
+        );
+        assert!(!c.peer_alive(0), "late beat revived a replaced peer");
+        assert_eq!(c.peer_dead_at, failed_at);
+        let mon = c.peer_monitor(0).expect("peer monitored");
+        assert_eq!(mon.replica.late_heartbeats, 1);
+    });
+}
+
+#[test]
+fn detector_jitter_only_degradation_warns_without_firing() {
+    let mut tb = Testbed::new(TestbedConfig {
+        health: Some(true),
+        ..TestbedConfig::default()
+    });
+    // Clean baseline: the secondary should score the primary
+    // near-perfect.
+    tb.run_for(SimDuration::from_millis(200));
+    let s = tb.secondary.unwrap();
+    let baseline = tb
+        .with_health_monitor(s, |m| m.score().total)
+        .expect("monitor attached");
+    assert!(baseline >= 90, "clean baseline scored {baseline}");
+    // Degrade the primary's attachment with jitter only: no loss, no
+    // silence — heartbeats keep flowing, just erratically. At 25ms of
+    // per-frame jitter the worst inter-arrival gap is ~interval +
+    // jitter = 35ms, safely inside the 50ms timeout.
+    let primary = tb.primary;
+    tb.reshape_links(primary, |p| p.with_jitter(SimDuration::from_millis(25)));
+    tb.run_for(SimDuration::from_secs(2));
+    assert!(
+        tb.failover_detected_at(s).is_none(),
+        "jitter alone must not fire the binary detector"
+    );
+    let (score, warned) = tb
+        .with_health_monitor(s, |m| (m.score(), m.first_warn_at().is_some()))
+        .expect("monitor attached");
+    assert!(
+        score.total < 70,
+        "jitter-only degradation kept score at {} (rtt {}ns jitter {}ns)",
+        score.total,
+        score.rtt_ns,
+        score.jitter_ns
+    );
+    assert!(warned, "no Warn alert journalled under jitter");
+}
+
+#[test]
+fn detector_detection_latency_bounded_by_timeout_plus_interval() {
+    for timeout_ms in [20u64, 80, 150] {
+        let mut tb = detector_testbed(DetectorConfig {
+            interval: SimDuration::from_millis(timeout_ms / 4),
+            timeout: SimDuration::from_millis(timeout_ms),
+        });
+        tb.run_for(SimDuration::from_millis(40));
+        let killed = tb.sim.now();
+        tb.kill_primary();
+        tb.run_for(SimDuration::from_secs(2));
+        let s = tb.secondary.unwrap();
+        let detected = tb.failover_detected_at(s).expect("fired");
+        let lat = detected.duration_since(killed).as_millis();
+        let interval_ms = timeout_ms / 4;
+        // The last heartbeat may have landed up to one interval before
+        // the kill, so detection can fire that much sooner relative to
+        // the kill instant.
+        assert!(
+            lat + interval_ms >= timeout_ms,
+            "early: {lat}ms for timeout {timeout_ms}ms"
+        );
+        assert!(
+            lat <= timeout_ms + interval_ms + 20,
+            "late: {lat}ms for timeout {timeout_ms}ms"
+        );
+    }
 }

@@ -13,7 +13,7 @@
 use tcp_failover::apps::driver::BulkSendClient;
 use tcp_failover::apps::stream::SinkServer;
 use tcp_failover::core::testbed::{addrs, Testbed, TestbedConfig};
-use tcp_failover::core::PrimaryBridge;
+use tcp_failover::core::ChainBridge;
 use tcp_failover::net::time::SimDuration;
 use tcp_failover::tcp::host::Host;
 use tcp_failover::tcp::types::SocketAddr;
@@ -38,8 +38,9 @@ fn run(unsafe_ack: bool, seed: u64) -> (bool, u64) {
             let bridge = h
                 .filter_mut()
                 .as_any_mut()
-                .downcast_mut::<PrimaryBridge>()
-                .unwrap();
+                .downcast_mut::<ChainBridge>()
+                .unwrap()
+                .inner_mut();
             bridge.unsafe_ack_without_min = true;
             // The whole point of this run is to violate the §3.2 min-ack
             // invariant; detach the auditor (if `TCPFO_AUDIT=1` attached

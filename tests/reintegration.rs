@@ -7,9 +7,8 @@
 
 use tcp_failover::apps::driver::RequestReplyClient;
 use tcp_failover::apps::stream::SourceServer;
-use tcp_failover::core::detector::ReplicaController;
 use tcp_failover::core::testbed::{addrs, Testbed, TestbedConfig};
-use tcp_failover::core::{PrimaryBridge, PrimaryMode};
+use tcp_failover::core::{ChainBridge, ChainController, PrimaryMode, SecondaryBridge};
 use tcp_failover::net::time::SimDuration;
 use tcp_failover::tcp::host::Host;
 use tcp_failover::tcp::types::SocketAddr;
@@ -36,8 +35,9 @@ fn primary_mode(tb: &mut Testbed) -> PrimaryMode {
     tb.sim.with::<Host, _>(tb.primary, |h, _| {
         h.filter_mut()
             .as_any_mut()
-            .downcast_mut::<PrimaryBridge>()
+            .downcast_mut::<ChainBridge>()
             .unwrap()
+            .inner()
             .mode()
     })
 }
@@ -72,7 +72,7 @@ fn secondary_rejoins_and_new_connections_replicate() {
     tb.run_for(SimDuration::from_millis(200));
     assert_eq!(primary_mode(&mut tb), PrimaryMode::Normal, "reintegrated");
     tb.sim.with::<Host, _>(tb.primary, |h, _| {
-        assert_eq!(h.controller_mut::<ReplicaController>().rejoins, 1);
+        assert_eq!(h.controller_mut::<ChainController>().rejoins, 1);
     });
 
     // Connection C is born after reintegration: replicated again.
@@ -153,4 +153,32 @@ fn degraded_epoch_connection_unaffected_by_rejoin() {
         assert_eq!(h.stack().rst_sent, 0, "revived secondary RST a live conn");
         assert_eq!(h.app_mut::<SourceServer>(0).served, 0);
     });
+}
+
+#[test]
+fn revived_secondary_keeps_flow_table_config() {
+    // A revived secondary is built by the same code as the original,
+    // so explicit flow-table knobs survive the reboot.
+    let mut tb = Testbed::new(TestbedConfig {
+        flow_shards: Some(4),
+        ..TestbedConfig::default()
+    });
+    let s = tb.secondary.unwrap();
+    let shards = |tb: &mut Testbed| {
+        tb.sim.with::<Host, _>(s, |h, _| {
+            h.filter_mut()
+                .as_any_mut()
+                .downcast_mut::<SecondaryBridge>()
+                .unwrap()
+                .flow_shard_count()
+        })
+    };
+    assert_eq!(shards(&mut tb), 4);
+    tb.run_for(SimDuration::from_millis(50));
+    tb.kill_secondary();
+    tb.run_for(SimDuration::from_millis(300));
+    tb.revive_secondary();
+    tb.run_for(SimDuration::from_millis(50));
+    assert_eq!(shards(&mut tb), 4, "revived secondary lost flow_shards");
+    assert_eq!(primary_mode(&mut tb), PrimaryMode::Normal, "reintegrated");
 }

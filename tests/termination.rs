@@ -6,7 +6,7 @@ use tcp_failover::apps::echo::EchoServer;
 use tcp_failover::apps::store::{StoreClient, StoreServer};
 use tcp_failover::apps::stream::SourceServer;
 use tcp_failover::core::testbed::{addrs, Testbed, TestbedConfig};
-use tcp_failover::core::PrimaryBridge;
+use tcp_failover::core::ChainBridge;
 use tcp_failover::net::link::LinkParams;
 use tcp_failover::net::time::SimDuration;
 use tcp_failover::tcp::host::Host;
@@ -53,7 +53,7 @@ fn assert_all_quiet(tb: &mut Testbed) {
     let conns = tb.sim.with::<Host, _>(tb.primary, |h, _| {
         h.filter_mut()
             .as_any_mut()
-            .downcast_mut::<PrimaryBridge>()
+            .downcast_mut::<ChainBridge>()
             .unwrap()
             .conn_count()
     });
