@@ -25,8 +25,9 @@
 //! two-node system):
 //!
 //! * **head dies** → its neighbour promotes: stop diverting, take over
-//!   the VIP (gratuitous ARP). Ingress translation *continues* (its
-//!   TCBs stay keyed to its own address).
+//!   the VIP (gratuitous ARP), and retransmit at once what the head
+//!   took down with it. Ingress translation *continues* (its TCBs stay
+//!   keyed to its own address).
 //! * **middle dies** → its neighbours re-target each other; all
 //!   `Δseq`s and queue state stay valid because everything is in the
 //!   tail's space.
@@ -1049,6 +1050,11 @@ impl ChainController {
                 }
             }
             self.trace_instant("chain.promoted", now, [None, None]);
+            // Restart every failover stream now rather than on its
+            // retransmission timer; the segments leave through the
+            // host pump, after the takeover above (DESIGN §7,
+            // "Retransmit at takeover").
+            services.stack.kick_failover_sockets(now);
         }
         if let (Some(t), Some(span)) = (&self.telemetry, promo_span) {
             t.hub.trace.end(&span, now.as_nanos());

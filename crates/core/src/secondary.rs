@@ -403,9 +403,10 @@ impl SecondaryBridge {
     }
 
     /// §5 step 1: stop sending client-addressed segments. Outbound
-    /// failover segments are dropped while holding — the TCP layer's
-    /// retransmission timers re-produce them after takeover, exactly as
-    /// the paper observes for the window `T`.
+    /// failover segments are dropped while holding, exactly as the paper
+    /// observes for the window `T`; the controller's takeover kick
+    /// (`TcpStack::kick_failover_sockets`) re-produces them at the VIP
+    /// commit, and after it only the ordinary retransmission timers do.
     pub fn prepare_takeover(&mut self) {
         self.mode = SecondaryMode::Holding;
         let now = self.last_now;

@@ -764,6 +764,19 @@ impl Socket {
         }
     }
 
+    /// Takeover kick (§5): a promoted replica "will retransmit those
+    /// segments" lost with the primary — now, not when its timer would
+    /// have fired. Outstanding data/SYN/FIN takes the ordinary
+    /// retransmission-timeout path (go-back-N to `snd_una`, Karn,
+    /// backoff, cwnd); an ACK is always queued so an idle receiver
+    /// reports at once how far it has read.
+    pub fn takeover_kick(&mut self, now: SimTime, cfg: &TcpConfig) {
+        if seq_lt(self.snd_una, self.snd_nxt) && self.rtx_deadline.is_some() {
+            self.on_retransmission_timeout(now, cfg);
+        }
+        self.ack_now = true;
+    }
+
     fn on_retransmission_timeout(&mut self, now: SimTime, cfg: &TcpConfig) {
         // A peer that *closed* its window is alive (it keeps ACKing
         // our probes); persist-style retries never give up (RFC 1122).

@@ -474,6 +474,30 @@ impl TcpStack {
         rebound
     }
 
+    /// Kicks every *failover* socket at takeover (§5): each one
+    /// retransmits from `snd_una` if it has anything outstanding and
+    /// sends an ACK otherwise, instead of leaving the stream idle until
+    /// a retransmission timer fires. The segments land in the outbox
+    /// and leave through the bridge like any other output. Returns the
+    /// number of sockets kicked.
+    pub fn kick_failover_sockets(&mut self, now: SimTime) -> usize {
+        let mut kicked = 0;
+        for idx in 0..self.sockets.len() {
+            let Some(sock) = self.sockets[idx].as_mut() else {
+                continue;
+            };
+            if !sock.failover || sock.state == TcpState::Closed {
+                continue;
+            }
+            sock.takeover_kick(now, &self.cfg);
+            let id = SocketId(idx);
+            self.run_output(id, now);
+            self.maybe_undemux(id);
+            kicked += 1;
+        }
+        kicked
+    }
+
     // ---------------------------------------------------------------
     // Internals
     // ---------------------------------------------------------------
@@ -648,9 +672,15 @@ mod tests {
     }
 
     fn connected_pair() -> (TcpStack, SocketId, TcpStack, SocketId) {
+        connected_pair_with(false)
+    }
+
+    /// A connected pair whose server socket is (or is not) a failover
+    /// connection.
+    fn connected_pair_with(failover: bool) -> (TcpStack, SocketId, TcpStack, SocketId) {
         let now = SimTime::ZERO;
         let mut server = TcpStack::new(cfg(7));
-        let listener = server.listen(80, false).unwrap();
+        let listener = server.listen(80, failover).unwrap();
         let mut client = TcpStack::new(cfg(3));
         let cs = client
             .connect(A, SocketAddr::new(B_IP, 80), false, now)
@@ -821,6 +851,56 @@ mod tests {
             .collect();
         assert_eq!(moved_tuples.len(), 1);
         assert_eq!(moved_tuples[0].local.port, 80);
+    }
+
+    #[test]
+    fn takeover_kick_retransmits_from_snd_una() {
+        let now = SimTime::ZERO;
+        let (_client, _cs, mut server, ss) = connected_pair_with(true);
+        server.send(ss, b"lost with the primary", now).unwrap();
+        let first = server.peek_outbox();
+        server.take_outbox(); // never reaches the client
+        let una = server.socket(ss).unwrap().snd_una();
+        assert_eq!(server.kick_failover_sockets(now), 1);
+        let out = server.peek_outbox();
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].2.seq, una);
+        assert_eq!(out[0].2.payload, first[0].2.payload);
+        assert_eq!(server.socket(ss).unwrap().rto_expiries, 1);
+    }
+
+    #[test]
+    fn takeover_kick_acks_from_idle_socket() {
+        let now = SimTime::ZERO;
+        let (mut client, cs, mut server, ss) = connected_pair_with(true);
+        client.send(cs, b"upload", now).unwrap();
+        exchange(&mut client, &mut server, now);
+        assert_eq!(server.kick_failover_sockets(now), 1);
+        let out = server.peek_outbox();
+        assert_eq!(out.len(), 1, "exactly one pure ACK: {out:?}");
+        assert_eq!(out[0].2.flags, TcpFlags::ACK);
+        assert!(out[0].2.payload.is_empty());
+        assert_eq!(out[0].2.ack, server.socket(ss).unwrap().rcv_nxt());
+        assert_eq!(server.socket(ss).unwrap().rto_expiries, 0);
+    }
+
+    #[test]
+    fn takeover_kick_skips_plain_and_closed_sockets() {
+        let now = SimTime::ZERO;
+        let (_client, _cs, mut server, ss) = connected_pair();
+        server.send(ss, b"plain", now).unwrap();
+        server.take_outbox();
+        assert_eq!(server.kick_failover_sockets(now), 0);
+        assert!(server.peek_outbox().is_empty());
+
+        let (mut client, cs, mut server, ss) = connected_pair_with(true);
+        client.close(cs, now).unwrap();
+        exchange(&mut client, &mut server, now);
+        server.close(ss, now).unwrap();
+        exchange(&mut client, &mut server, now);
+        assert_eq!(server.socket(ss).unwrap().state, TcpState::Closed);
+        assert_eq!(server.kick_failover_sockets(now), 0);
+        assert!(server.peek_outbox().is_empty());
     }
 
     #[test]

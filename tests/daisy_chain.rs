@@ -107,6 +107,18 @@ fn head_failure_promotes_first_backup() {
         let c = h.controller_mut::<tcp_failover::core::ChainController>();
         assert!(c.promoted_at.is_some(), "B1 promoted");
     });
+    // The takeover kick on the promoted-middle branch: B1's
+    // retransmission, merged with the tail's stream, leaves at the VIP
+    // takeover rather than on B1's retransmission timer.
+    let m = tb.hubs[1]
+        .timeline
+        .mttr()
+        .expect("complete §5 timeline on B1");
+    assert!(
+        m.first_byte_ns <= 1_000_000,
+        "first client byte {} ns after the VIP takeover",
+        m.first_byte_ns
+    );
 }
 
 #[test]

@@ -11,6 +11,7 @@ use tcp_failover::core::testbed::{addrs, macs, Testbed, TestbedConfig};
 use tcp_failover::core::{ChainBridge, ChainController, PrimaryMode};
 use tcp_failover::net::time::{SimDuration, SimTime};
 use tcp_failover::tcp::host::Host;
+use tcp_failover::tcp::socket::Socket;
 use tcp_failover::tcp::types::SocketAddr;
 
 fn server_addr(port: u16) -> SocketAddr {
@@ -83,8 +84,94 @@ fn primary_fails_mid_download() {
     tb.expect(owns_a_p, "IP takeover (§5 step 5)");
 }
 
+/// The connection's socket on `h` (the one whose either end is port 80).
+fn conn_socket(h: &Host) -> &Socket {
+    let stack = h.stack();
+    stack
+        .socket_ids()
+        .into_iter()
+        .filter_map(|id| stack.socket(id))
+        .find(|s| s.tuple.local.port == 80 || s.tuple.remote.port == 80)
+        .expect("connection socket")
+}
+
+/// §5 takeover kick: the promoted secondary "will retransmit those
+/// segments" at the VIP takeover, from `snd_una` and through its
+/// retransmission-timeout path, instead of idling until its own timer
+/// fires — so the first client byte follows the gratuitous ARP at once.
+#[test]
+fn takeover_restarts_download_immediately() {
+    let mut tb = Testbed::new(TestbedConfig::default());
+    replicate!(&mut tb, SourceServer::new(80));
+    tb.sim.with::<Host, _>(tb.client, |h, _| {
+        h.add_app(Box::new(RequestReplyClient::new(
+            server_addr(80),
+            b"SEND 2000000\n".to_vec(),
+            2_000_000,
+        )));
+    });
+    tb.run_for(SimDuration::from_millis(120));
+    tb.kill_primary();
+    let s = tb.secondary.unwrap();
+    // Step 1 ms at a time up to the tick that commits the takeover.
+    let (s_expiries, s_una, client_rcv) = loop {
+        let before = (
+            tb.sim
+                .with::<Host, _>(s, |h, _| h.stack().total_rto_expiries()),
+            tb.sim.with::<Host, _>(s, |h, _| conn_socket(h).snd_una()),
+            tb.sim
+                .with::<Host, _>(tb.client, |h, _| conn_socket(h).rcv_nxt()),
+        );
+        tb.run_for(SimDuration::from_millis(1));
+        if tb.failover_detected_at(s).is_some() {
+            break before;
+        }
+        assert!(
+            tb.sim.now() < SimTime::ZERO + SimDuration::from_secs(2),
+            "no takeover"
+        );
+    };
+    // With the client fed by nobody, S's unacked edge is exactly where
+    // the client is waiting.
+    assert_eq!(s_una, client_rcv);
+    let expiries_after = tb
+        .sim
+        .with::<Host, _>(s, |h, _| h.stack().total_rto_expiries());
+    assert_eq!(
+        expiries_after,
+        s_expiries + 1,
+        "the kick takes the retransmission-timeout path once"
+    );
+    tb.run_for(SimDuration::from_millis(1));
+    let client_rcv_after = tb
+        .sim
+        .with::<Host, _>(tb.client, |h, _| conn_socket(h).rcv_nxt());
+    assert!(
+        (client_rcv_after.wrapping_sub(client_rcv) as i32) > 0,
+        "the retransmission from snd_una reached the client within 1 ms"
+    );
+    tb.run_for(SimDuration::from_secs(20));
+
+    let (done, received, mismatches) = tb.sim.with::<Host, _>(tb.client, |h, _| {
+        let c = h.app_mut::<RequestReplyClient>(0);
+        (c.is_done(), c.received_len(), c.mismatches)
+    });
+    tb.expect(done, &format!("transfer died at {received} bytes"));
+    tb.expect(mismatches == 0, "stream corrupted across failover");
+    let m = tb.telemetry.timeline.mttr().expect("complete §5 timeline");
+    tb.expect(
+        m.first_byte_ns <= 1_000_000,
+        &format!(
+            "first client byte {} ns after the ARP takeover",
+            m.first_byte_ns
+        ),
+    );
+}
+
 /// §5 again, but for a client→server upload: no byte the primary acked
-/// may be lost (requirement 2 of §2).
+/// may be lost (requirement 2 of §2). The takeover kick's ACK restarts
+/// the client at once: no client retransmission timeout, and the
+/// secondary's intake stalls for no longer than detection.
 #[test]
 fn primary_fails_mid_upload() {
     let mut tb = Testbed::new(TestbedConfig::default());
@@ -96,19 +183,48 @@ fn primary_fails_mid_upload() {
     });
     tb.run_for(SimDuration::from_millis(120));
     tb.kill_primary();
-    tb.run_for(SimDuration::from_secs(20));
+    let killed_at = tb.sim.now();
+    let s = tb.secondary.unwrap();
+    let sink = |tb: &mut Testbed| {
+        tb.sim
+            .with::<Host, _>(s, |h, _| h.app_mut::<SinkServer>(0).received)
+    };
+    // Sample S's intake every 1 ms until the upload completes, then
+    // run out the same 20 s as before.
+    let end = killed_at + SimDuration::from_secs(20);
+    let (mut last, mut last_change, mut longest_gap) =
+        (sink(&mut tb), killed_at, SimDuration::ZERO);
+    while last < 2_000_000 && tb.sim.now() < end {
+        tb.run_for(SimDuration::from_millis(1));
+        let now_received = sink(&mut tb);
+        if now_received != last {
+            longest_gap = longest_gap.max(tb.sim.now() - last_change);
+            (last, last_change) = (now_received, tb.sim.now());
+        }
+    }
+    tb.sim.run_until(end);
 
     let done = tb
         .sim
         .with::<Host, _>(tb.client, |h, _| h.app_mut::<BulkSendClient>(0).is_done());
     tb.expect(done, "upload did not finish after failover");
     // The surviving replica has the complete stream.
-    let s_received = tb.sim.with::<Host, _>(tb.secondary.unwrap(), |h, _| {
-        h.app_mut::<SinkServer>(0).received
-    });
+    let s_received = sink(&mut tb);
     tb.expect(
         s_received == 2_000_000,
         &format!("secondary missed acknowledged bytes: got {s_received}"),
+    );
+    let client_rtos = tb
+        .sim
+        .with::<Host, _>(tb.client, |h, _| h.stack().total_rto_expiries());
+    tb.expect(
+        client_rtos == 0,
+        &format!("client hit {client_rtos} retransmission timeouts"),
+    );
+    let detection = tb.failover_detected_at(s).expect("takeover") - killed_at;
+    tb.expect(
+        longest_gap <= detection + SimDuration::from_millis(5),
+        &format!("secondary intake stalled {longest_gap:?} (detection {detection:?})"),
     );
 }
 
