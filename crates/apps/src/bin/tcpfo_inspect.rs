@@ -42,7 +42,7 @@ use tcpfo_tcp::host::Host;
 use tcpfo_tcp::types::SocketAddr;
 use tcpfo_telemetry::table::render_snapshot;
 use tcpfo_telemetry::{
-    HostClock, LatencyObservatory, Registry, ShardSample, Stage, UnderLoadRecorder,
+    HostClock, LatencyObservatory, Observers, Registry, ShardSample, Stage, UnderLoadRecorder,
 };
 use tcpfo_wire::eth::{EtherType, EthernetFrame};
 use tcpfo_wire::ipv4::Ipv4Packet;
@@ -152,11 +152,10 @@ fn run(failover: bool, prom_only: bool) -> i32 {
     }
 
     println!("\n=== invariant auditors ===");
-    if let Some(report) = tb.with_primary_audit(|a| a.report()) {
-        println!("{report}");
-    }
-    if let Some(report) = tb.with_secondary_audit(|a| a.report()) {
-        println!("{report}");
+    for node in [Some(tb.primary), tb.secondary].into_iter().flatten() {
+        if let Some(report) = tb.with_observers(node, |o| o.audit().map(|a| a.report())) {
+            println!("{report}");
+        }
     }
 
     println!("=== failover timeline ===");
@@ -731,13 +730,15 @@ fn render_health_frame(
     }
 
     println!("\n── replication lag (primary's ledger) ──");
-    let lag = tb.with_primary_health(|obs| {
-        (
-            obs.lag.unmatched_bytes(),
-            obs.lag.unmatched_segments(),
-            obs.lag.peak_bytes(),
-            obs.lag.releases(),
-        )
+    let lag = tb.with_observers(tb.primary, |o| {
+        o.health().map(|obs| {
+            (
+                obs.lag.unmatched_bytes(),
+                obs.lag.unmatched_segments(),
+                obs.lag.peak_bytes(),
+                obs.lag.releases(),
+            )
+        })
     });
     match lag {
         Some((bytes, segments, peak, releases)) => println!(
@@ -866,33 +867,26 @@ fn render_chain_frame(
             continue;
         }
         let (role, lag) = tb.sim.with::<Host, _>(node, |h, _| {
+            let lag = h
+                .filter_mut()
+                .observers()
+                .and_then(Observers::health)
+                .map(|o| {
+                    (
+                        o.lag.unmatched_bytes(),
+                        o.lag.releases(),
+                        o.lag.peak_bytes(),
+                    )
+                });
             let f = h.filter_mut().as_any_mut();
-            if let Some(b) = f.downcast_mut::<ChainBridge>() {
-                let role = if b.is_head() { "head" } else { "middle" };
-                (
-                    role,
-                    b.health().map(|o| {
-                        (
-                            o.lag.unmatched_bytes(),
-                            o.lag.releases(),
-                            o.lag.peak_bytes(),
-                        )
-                    }),
-                )
-            } else if let Some(b) = f.downcast_mut::<SecondaryBridge>() {
-                (
-                    "tail",
-                    b.health().map(|o| {
-                        (
-                            o.lag.unmatched_bytes(),
-                            o.lag.releases(),
-                            o.lag.peak_bytes(),
-                        )
-                    }),
-                )
-            } else {
-                ("?", None)
-            }
+            let tail = f.is::<SecondaryBridge>();
+            let role = match f.downcast_mut::<ChainBridge>() {
+                Some(b) if b.is_head() => "head",
+                Some(_) => "middle",
+                None if tail => "tail",
+                None => "?",
+            };
+            (role, lag)
         });
         let (state, score, promoted) = tb.sim.with::<Host, _>(node, |h, _| {
             let c = h.controller_mut::<ChainController>();

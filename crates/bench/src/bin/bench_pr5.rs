@@ -85,7 +85,7 @@ fn stage_latency_run(quick: bool) -> (StageLatency, StageLatency) {
     });
     // The primary dies with the kill; harvest its histograms first.
     let primary = tb
-        .with_primary_latency(|o| *o.stages())
+        .with_observers(tb.primary, |o| o.latency().map(|l| *l.stages()))
         .expect("observatory attached to primary");
     tb.kill_primary();
     let ok = run_until(&mut tb, SimDuration::from_secs(60), |tb| {
@@ -94,8 +94,9 @@ fn stage_latency_run(quick: bool) -> (StageLatency, StageLatency) {
         })
     });
     assert!(ok, "failover transfer did not finish");
+    let s = tb.secondary.expect("replicated testbed");
     let secondary = tb
-        .with_secondary_latency(|o| *o.stages())
+        .with_observers(s, |o| o.latency().map(|l| *l.stages()))
         .expect("observatory attached to secondary");
     (primary, secondary)
 }

@@ -113,7 +113,7 @@ fn held_backlog_exactness() -> LagExactness {
     tb.kill_secondary();
     tb.run_for(SimDuration::from_millis(20));
     tb.with_primary_bridge(|bridge| {
-        let obs = bridge.health().expect("health attached");
+        let obs = bridge.observers().health().expect("health attached");
         lag_exactness(bridge, obs)
     })
     .expect("primary bridge present")

@@ -33,7 +33,7 @@ use tcpfo_net::{OpenLoopInjector, ShardExecutor};
 use tcpfo_tcp::filter::{FilterOutput, SegmentFilter};
 use tcpfo_telemetry::span::DEFAULT_SPAN_CAPACITY;
 use tcpfo_telemetry::{
-    HealthObservatory, HostClock, LatencyObservatory, ShardSample, SpanSampler, Tracer,
+    HealthObservatory, HostClock, ObserverFlags, Observers, ShardSample, SpanSampler, Telemetry,
     UnderLoadRecorder,
 };
 use tcpfo_wire::ipv4::Ipv4Addr;
@@ -503,19 +503,26 @@ pub fn run_open_loop(cfg: &OpenLoopConfig) -> OpenLoopReport {
     let mut bridge =
         PrimaryBridge::new(net.a_p, net.a_s, FailoverConfig::from_ports([SERVER_PORT]));
     bridge.set_flow_config(FlowTableConfig::new(cfg.shards, cfg.capacity));
-    // Only the latency observatory is attached: audit and journal
-    // telemetry stay off so the measurement does not serialise the
-    // datapath it is measuring.
-    bridge.set_latency(Some(Box::new(LatencyObservatory::new())));
-    if cfg.attach_health {
-        bridge.set_health(Some(Box::new(HealthObservatory::new())));
-    }
-    if cfg.attach_trace {
-        bridge.set_trace(Some(Box::new(SpanSampler::with_default_period(
-            Tracer::attached(DEFAULT_SPAN_CAPACITY),
-        ))));
-    }
+    bridge.set_observers(open_loop_observers(cfg));
     run_open_loop_with(cfg, &mut bridge)
+}
+
+/// The observers an open-loop run attaches: the latency observatory
+/// always (the stage windows read it), health and the span sampler on
+/// request. Audit and journal telemetry stay off so the measurement
+/// does not serialise the datapath it is measuring.
+fn open_loop_observers(cfg: &OpenLoopConfig) -> Observers {
+    let hub = Telemetry::new();
+    if cfg.attach_trace {
+        hub.trace.attach(DEFAULT_SPAN_CAPACITY);
+    }
+    let flags = ObserverFlags {
+        audit: false,
+        latency: true,
+        health: cfg.attach_health,
+        trace: cfg.attach_trace,
+    };
+    Observers::new(flags, "loadgen", &hub)
 }
 
 /// The upstream neighbour a scripted chain middle diverts toward. Any
@@ -541,15 +548,7 @@ pub fn run_open_loop_chain(cfg: &OpenLoopConfig) -> OpenLoopReport {
         FailoverConfig::from_ports([SERVER_PORT]),
     );
     bridge.set_flow_config(FlowTableConfig::new(cfg.shards, cfg.capacity));
-    bridge.set_latency(Some(Box::new(LatencyObservatory::new())));
-    if cfg.attach_health {
-        bridge.set_health(Some(Box::new(HealthObservatory::new())));
-    }
-    if cfg.attach_trace {
-        bridge.set_trace(Some(Box::new(SpanSampler::with_default_period(
-            Tracer::attached(DEFAULT_SPAN_CAPACITY),
-        ))));
-    }
+    bridge.set_observers(open_loop_observers(cfg));
     run_open_loop_with(cfg, &mut bridge)
 }
 
@@ -568,6 +567,7 @@ pub fn run_open_loop_with<B: OpenLoopBridge>(
 
     let mut stages_before = *bridge
         .merge()
+        .observers()
         .latency()
         .expect("observatory attached")
         .stages();
@@ -613,13 +613,18 @@ pub fn run_open_loop_with<B: OpenLoopBridge>(
         // The sampled batch's span is the exemplar link: a tail-bucket
         // corrected sample recorded here points straight at the hot
         // path trace that was live when the segment went through.
-        let ctx = bridge.merge().trace_context();
+        let ctx = bridge
+            .merge()
+            .observers()
+            .trace()
+            .and_then(SpanSampler::last_ctx);
         for &(intended, _) in due.iter() {
             rec.record_segment_ctx(intended, now, done, ctx);
         }
         injected += due.len() as u64;
         let stages_after = *bridge
             .merge()
+            .observers()
             .latency()
             .expect("observatory attached")
             .stages();
@@ -647,9 +652,10 @@ pub fn run_open_loop_with<B: OpenLoopBridge>(
     let table = bridge.merge().flow_stats();
     let lag = bridge
         .merge()
+        .observers()
         .health()
         .map(|obs| lag_exactness(bridge.merge(), obs));
-    let trace = bridge.merge().trace_sampler().map(|s| TraceStats {
+    let trace = bridge.merge().observers().trace().map(|s| TraceStats {
         sampled_batches: s.sampled(),
         total_batches: s.batches(),
         spans_retained: s.tracer().len(),

@@ -69,8 +69,8 @@ use tcpfo_net::ShardExecutor;
 use tcpfo_tcp::filter::{AddressedSegment, BatchDir, FailoverRule, FilterOutput, SegmentFilter};
 use tcpfo_tcp::host::{HostController, HostServices};
 use tcpfo_telemetry::{
-    Counter, FailoverPhase, HealthConfig, HealthMonitor, HealthObservatory, HealthScore,
-    InvariantAuditor, LatencyObservatory, SpanTrack, StageLatency, Telemetry,
+    Counter, FailoverPhase, HealthConfig, HealthMonitor, HealthScore, Observers, SpanTrack,
+    Telemetry,
 };
 use tcpfo_wire::checksum::ChecksumDelta;
 use tcpfo_wire::ipv4::{Ipv4Addr, PROTO_HEARTBEAT};
@@ -95,9 +95,8 @@ pub struct ChainStats {
 ///
 /// Since PR9 this is a thin, allocation-free routing shell over the
 /// PR4/PR8-era [`PrimaryBridge`]: per-connection state lives in the
-/// sharded `FlowTable`, and the auditor / latency / health
-/// observatories attach through the same `Option<Box<...>>` points —
-/// one branch when detached.
+/// sharded `FlowTable`, and the observers are the merge bridge's
+/// [`Observers`] bundle (DESIGN §11).
 ///
 /// # Example
 ///
@@ -183,66 +182,20 @@ impl ChainBridge {
         &mut self.inner
     }
 
-    // -----------------------------------------------------------------
-    // Observatory attach points (all delegate to the merge bridge, so a
-    // chain link is inspectable exactly like a pair bridge)
-    // -----------------------------------------------------------------
-
-    /// Attaches (or detaches) the online invariant auditor on the
-    /// inner merge bridge.
-    pub fn set_audit(&mut self, audit: Option<Box<InvariantAuditor>>) {
-        self.inner.set_audit(audit);
+    /// The merge bridge's observers.
+    pub fn observers(&self) -> &Observers {
+        self.inner.observers()
     }
 
-    /// The attached auditor, if any.
-    pub fn audit(&self) -> Option<&InvariantAuditor> {
-        self.inner.audit()
+    /// Mutable access to the merge bridge's observers.
+    pub fn observers_mut(&mut self) -> &mut Observers {
+        self.inner.observers_mut()
     }
 
-    /// Mutable access to the attached auditor.
-    pub fn audit_mut(&mut self) -> Option<&mut InvariantAuditor> {
-        self.inner.audit_mut()
-    }
-
-    /// Attaches (or detaches) the latency observatory.
-    pub fn set_latency(&mut self, latency: Option<Box<LatencyObservatory>>) {
-        self.inner.set_latency(latency);
-    }
-
-    /// The attached latency observatory, if any.
-    pub fn latency(&self) -> Option<&LatencyObservatory> {
-        self.inner.latency()
-    }
-
-    /// Mutable access to the attached latency observatory.
-    pub fn latency_mut(&mut self) -> Option<&mut LatencyObservatory> {
-        self.inner.latency_mut()
-    }
-
-    /// Attaches (or detaches) the health observatory (replication-lag
-    /// ledger).
-    pub fn set_health(&mut self, health: Option<Box<HealthObservatory>>) {
-        self.inner.set_health(health);
-    }
-
-    /// The attached health observatory, if any.
-    pub fn health(&self) -> Option<&HealthObservatory> {
-        self.inner.health()
-    }
-
-    /// Mutable access to the attached health observatory.
-    pub fn health_mut(&mut self) -> Option<&mut HealthObservatory> {
-        self.inner.health_mut()
-    }
-
-    /// Attaches (or detaches) the hot-path span sampler.
-    pub fn set_trace(&mut self, trace: Option<Box<tcpfo_telemetry::SpanSampler>>) {
-        self.inner.set_trace(trace);
-    }
-
-    /// Span context of the most recent sampled hot-path batch.
-    pub fn trace_context(&self) -> Option<tcpfo_telemetry::SpanContext> {
-        self.inner.trace_context()
+    /// Replaces the merge bridge's observers (see
+    /// [`PrimaryBridge::set_observers`]).
+    pub fn set_observers(&mut self, obs: Observers) {
+        self.inner.set_observers(obs);
     }
 
     /// Connects the telemetry hub: the inner bridge publishes its
@@ -523,12 +476,8 @@ impl SegmentFilter for ChainBridge {
         self.inner.designate(rule);
     }
 
-    fn latency_stages(&self) -> Option<&StageLatency> {
-        self.inner.latency_stages()
-    }
-
-    fn trace_context(&self) -> Option<tcpfo_telemetry::SpanContext> {
-        self.inner.trace_context()
+    fn observers(&self) -> Option<&Observers> {
+        Some(self.inner.observers())
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
@@ -974,7 +923,7 @@ impl ChainController {
                     // degenerate and stamped at the decision.
                     self.mark(FailoverPhase::EgressHold, now);
                     self.mark(FailoverPhase::TranslationOff, now);
-                    if let Some(aud) = chain_bridge.audit_mut() {
+                    if let Some(aud) = &mut chain_bridge.observers_mut().audit {
                         aud.note_promotion_decision(now_nanos);
                     }
                     chain_bridge.promote_to_head();
@@ -993,7 +942,7 @@ impl ChainController {
                 }
                 None if promote => {
                     // Last replica standing: the classic §5 takeover.
-                    if let Some(aud) = tail.audit_mut() {
+                    if let Some(aud) = &mut tail.observers_mut().audit {
                         aud.note_promotion_decision(now_nanos);
                     }
                     self.mark(FailoverPhase::EgressHold, now);
@@ -1036,18 +985,10 @@ impl ChainController {
             // Commit record: checked against the decision stamp by the
             // auditor's promotion-order rule.
             self.journal(now, "chain.promoted", &[("vip", vip.to_string())]);
-            if let Some(cb) = services.filter.as_any_mut().downcast_mut::<ChainBridge>() {
-                if let Some(aud) = cb.audit_mut() {
-                    aud.note_promotion_committed(now_nanos);
-                }
-            } else if let Some(tail) = services
-                .filter
-                .as_any_mut()
-                .downcast_mut::<SecondaryBridge>()
+            if let Some(aud) =
+                bridge_observers(services.filter).and_then(|o| o.audit.as_deref_mut())
             {
-                if let Some(aud) = tail.audit_mut() {
-                    aud.note_promotion_committed(now_nanos);
-                }
+                aud.note_promotion_committed(now_nanos);
             }
             self.trace_instant("chain.promoted", now, [None, None]);
             // Restart every failover stream now rather than on its
@@ -1066,28 +1007,16 @@ impl ChainController {
     /// attached) and flow-table occupancy.
     fn observe_self(&mut self, services: &mut HostServices<'_, '_>) {
         self.self_monitor.replica.set_misses(0);
-        if let Some(cb) = services.filter.as_any_mut().downcast_mut::<ChainBridge>() {
-            if let Some(obs) = cb.health() {
-                let cap = cb.flow_capacity().max(1) as u64;
-                let occupancy_ppm = cb.flow_stats().occupancy * 1_000_000 / cap;
-                self.self_monitor.replica.observe_backlog(
-                    obs.lag.unmatched_bytes(),
-                    obs.lag.unmatched_segments(),
-                    occupancy_ppm,
-                );
-            }
-        } else if let Some(tail) = services
-            .filter
-            .as_any_mut()
-            .downcast_mut::<SecondaryBridge>()
-        {
-            if let Some(obs) = tail.health() {
-                self.self_monitor.replica.observe_backlog(
-                    obs.lag.unmatched_bytes(),
-                    obs.lag.unmatched_segments(),
-                    0,
-                );
-            }
+        let occupancy_ppm = match services.filter.as_any_mut().downcast_mut::<ChainBridge>() {
+            Some(cb) => cb.flow_stats().occupancy * 1_000_000 / cb.flow_capacity().max(1) as u64,
+            None => 0,
+        };
+        if let Some(obs) = services.filter.observers().and_then(Observers::health) {
+            self.self_monitor.replica.observe_backlog(
+                obs.lag.unmatched_bytes(),
+                obs.lag.unmatched_segments(),
+                occupancy_ppm,
+            );
         }
     }
 
@@ -1304,6 +1233,18 @@ impl HostController for ChainController {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+/// The local bridge's observers, at any chain position.
+fn bridge_observers(filter: &mut dyn SegmentFilter) -> Option<&mut Observers> {
+    let any = filter.as_any_mut();
+    if any.is::<ChainBridge>() {
+        any.downcast_mut::<ChainBridge>()
+            .map(ChainBridge::observers_mut)
+    } else {
+        any.downcast_mut::<SecondaryBridge>()
+            .map(SecondaryBridge::observers_mut)
     }
 }
 

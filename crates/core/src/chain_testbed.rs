@@ -11,10 +11,8 @@
 //! reprovisioning surface:
 //!
 //! * every replica gets its **own** telemetry hub (so each replica's
-//!   §5 timeline and journal stay separate), with
-//!   the auditor / latency / health observatories attached per the
-//!   `TCPFO_AUDIT` / `TCPFO_LATENCY` / `TCPFO_HEALTH` knobs (or the
-//!   explicit [`ChainConfig`] overrides);
+//!   §5 timeline and journal stay separate), and is built by the same
+//!   [`ReplicaBuilder`] as the pair's, observers included;
 //! * [`ChainTestbed::kill_replica`] stamps the §5 failure reference
 //!   point on every hub's timeline;
 //! * the reprovisioning primitives ([`ChainTestbed::spawn_standby`],
@@ -27,27 +25,24 @@
 //!   (`tcpfo_apps::chain_ops`), which composes these primitives.
 
 use crate::chain::{ChainBridge, ChainController};
-use crate::designation::FailoverConfig;
 use crate::detector::DetectorConfig;
+use crate::replica::ReplicaBuilder;
 use crate::reprovision::{FlowHandoff, ReprovisionPhase, ReprovisionTracker};
 use crate::secondary::SecondaryBridge;
-use crate::testbed::{addrs, macs};
+use crate::testbed::{
+    addrs, audit_violations, macs, prime_edge_arp, router, server_addr, server_mac,
+};
 use tcpfo_net::hub::Hub;
 use tcpfo_net::link::LinkParams;
-use tcpfo_net::router::{Interface, Router};
+use tcpfo_net::router::Router;
 use tcpfo_net::sim::{NodeId, Simulator};
 use tcpfo_net::time::SimDuration;
 use tcpfo_tcp::config::TcpConfig;
 use tcpfo_tcp::host::{spawn_host, CpuModel, Host, HostConfig};
 use tcpfo_tcp::types::SocketId;
-use tcpfo_telemetry::audit::env_audit_enabled;
-use tcpfo_telemetry::health::env_health_enabled;
-use tcpfo_telemetry::latency::env_latency_enabled;
-use tcpfo_telemetry::{
-    AuditConfig, FailoverPhase, HealthObservatory, InvariantAuditor, LatencyObservatory, Telemetry,
-};
+use tcpfo_telemetry::span::env_trace_capacity;
+use tcpfo_telemetry::{FailoverPhase, ObserverFlags, Telemetry};
 use tcpfo_wire::ipv4::Ipv4Addr;
-use tcpfo_wire::mac::MacAddr;
 
 /// Parameters for a chained testbed.
 #[derive(Debug, Clone)]
@@ -136,10 +131,8 @@ pub struct ChainTestbed {
     catchup_link: Option<usize>,
     /// Next free port on the shared-segment hub.
     next_hub_port: usize,
-    audit_on: bool,
-    latency_on: bool,
-    health_on: bool,
-    span_trace_on: bool,
+    /// Builds every founding replica and standby.
+    builder: ReplicaBuilder,
 }
 
 impl ChainTestbed {
@@ -152,18 +145,21 @@ impl ChainTestbed {
     pub fn new(config: ChainConfig) -> Self {
         assert!((2..=200).contains(&config.replicas));
         let n = config.replicas;
-        let audit_on = config.audit.unwrap_or_else(env_audit_enabled);
-        let latency_on = config.latency.unwrap_or_else(env_latency_enabled);
-        let health_on = config.health.unwrap_or_else(env_health_enabled);
-        let span_trace_on = config
-            .span_trace
-            .unwrap_or_else(tcpfo_telemetry::span::env_trace_enabled);
-        let replica_addrs: Vec<Ipv4Addr> = (0..n)
-            .map(|i| Ipv4Addr::new(10, 0, 0, 2 + i as u8))
-            .collect();
-        let replica_macs: Vec<MacAddr> =
-            (0..n).map(|i| MacAddr::from_index(2 + i as u32)).collect();
-
+        let builder = ReplicaBuilder {
+            seed: config.seed,
+            tcp: config.tcp.clone(),
+            cpu: config.cpu,
+            tick: config.tick,
+            failover_ports: config.failover_ports.clone(),
+            detector: config.detector,
+            observers: ObserverFlags::resolve(
+                config.audit,
+                config.latency,
+                config.health,
+                config.span_trace,
+            ),
+            flow: None,
+        };
         let mut sim = Simulator::new(config.seed);
         // One port per replica + the router uplink + headroom for
         // reprovisioned standbys.
@@ -172,22 +168,7 @@ impl ChainTestbed {
             n + 1 + STANDBY_PORTS,
             100_000_000,
         )));
-        let router = sim.add_device(Box::new(Router::new(
-            "router",
-            vec![
-                Interface {
-                    mac: macs::ROUTER_CLIENT,
-                    ip: addrs::GW_CLIENT,
-                    prefix_len: 24,
-                },
-                Interface {
-                    mac: macs::ROUTER_SERVER,
-                    ip: addrs::GW_SERVER,
-                    prefix_len: 24,
-                },
-            ],
-            SimDuration::from_micros(15),
-        )));
+        let router = sim.add_device(Box::new(router(SimDuration::from_micros(15))));
         // Client.
         let mut client_cfg = HostConfig::new("client", macs::CLIENT, addrs::A_C)
             .with_gateway(addrs::GW_CLIENT)
@@ -202,7 +183,7 @@ impl ChainTestbed {
             sim,
             client,
             replicas: Vec::new(),
-            replica_addrs: replica_addrs.clone(),
+            replica_addrs: (0..n).map(server_addr).collect(),
             hubs: Vec::new(),
             dead: vec![false; n],
             router,
@@ -211,85 +192,39 @@ impl ChainTestbed {
             tracker: ReprovisionTracker::new(),
             catchup_link: None,
             next_hub_port: 1,
-            audit_on,
-            latency_on,
-            health_on,
-            span_trace_on,
+            builder,
         };
 
         // Replicas, head first.
-        for (i, mac) in replica_macs.iter().enumerate().take(n) {
-            let node = tb.spawn_replica(i, *mac);
+        for i in 0..n {
+            let node = tb.spawn_replica(i);
             tb.replicas.push(node);
         }
         tb.sim.set_telemetry(tb.hubs[0].clone());
-        tb.prime_arp_caches();
+        prime_edge_arp(&mut tb.sim, tb.client, tb.router, &tb.replica_addrs);
         tb
     }
 
-    /// Spawns replica `i` (address already in `replica_addrs`): bridge
-    /// by position (tail = [`SecondaryBridge`], everything else =
-    /// [`ChainBridge`]), observatories per the knobs, a fresh telemetry
-    /// hub, and a [`ChainController`] over the full chain. Wires the
-    /// host to the next free hub port.
-    fn spawn_replica(&mut self, i: usize, mac: MacAddr) -> NodeId {
-        let vip = addrs::A_P;
-        let n = self.replica_addrs.len();
+    /// Spawns replica `i` (address already in `replica_addrs`) on a
+    /// fresh telemetry hub, through the testbed's [`ReplicaBuilder`]:
+    /// the tail runs a [`SecondaryBridge`], everything else a
+    /// [`ChainBridge`]. Wires the host to the next free hub port.
+    fn spawn_replica(&mut self, i: usize) -> NodeId {
         let telemetry = Telemetry::from_env();
-        if self.span_trace_on {
-            telemetry
-                .trace
-                .attach(tcpfo_telemetry::span::env_trace_capacity());
+        if self.builder.observers.trace {
+            telemetry.trace.attach(env_trace_capacity());
         }
         self.tracker.attach_timeline(telemetry.redundancy.clone());
         self.tracker.attach_tracer(telemetry.trace.clone());
-        let fo = FailoverConfig::from_ports(self.config.failover_ports.iter().copied());
-        let mut hc = HostConfig::new(&format!("replica{i}"), mac, self.replica_addrs[i])
-            .with_gateway(addrs::GW_SERVER)
-            .with_tcp(
-                self.config
-                    .tcp
-                    .clone()
-                    .with_isn_seed(self.config.seed ^ ((i as u64 + 2) << 32)),
-            );
-        hc.cpu = self.config.cpu;
-        hc.tick = self.config.tick;
-        // Everyone except the head must snoop.
-        hc.promiscuous = i != 0;
-        let mut host = Host::new(hc);
-        host.set_telemetry(&telemetry);
-        if i == n - 1 {
-            // The tail is a plain secondary, diverting to its
-            // neighbour toward the head.
-            let mut tail = SecondaryBridge::new(vip, self.replica_addrs[i], fo);
-            tail.set_upstream(self.replica_addrs[i - 1]);
-            tail.set_telemetry(&telemetry);
-            self.attach_secondary_observatories(&mut tail, &telemetry);
-            host.set_filter(Box::new(tail));
-        } else {
-            let upstream = if i == 0 {
-                None
-            } else {
-                Some(self.replica_addrs[i - 1])
-            };
-            let mut bridge = ChainBridge::new(
-                vip,
-                self.replica_addrs[i],
-                upstream,
-                self.replica_addrs[i + 1],
-                fo,
-            );
-            bridge.set_telemetry(&telemetry);
-            self.attach_chain_observatories(&mut bridge, &telemetry);
-            host.set_filter(Box::new(bridge));
-        }
-        let mut controller =
-            ChainController::new(self.replica_addrs.clone(), i, self.config.detector);
-        controller.set_telemetry(&telemetry);
-        host.set_controller(Box::new(controller));
-        for &p in &self.config.failover_ports {
-            host.stack_mut().add_failover_port(p);
-        }
+        let tail = i + 1 == self.replica_addrs.len();
+        let host = self.builder.replica(
+            &self.replica_addrs,
+            &self.dead,
+            i,
+            &format!("replica{i}"),
+            if tail { "chain-tail" } else { "chain" },
+            &telemetry,
+        );
         let id = spawn_host(&mut self.sim, host);
         self.sim.connect(
             (self.hub, self.next_hub_port),
@@ -299,64 +234,6 @@ impl ChainTestbed {
         self.next_hub_port += 1;
         self.hubs.push(telemetry);
         id
-    }
-
-    fn attach_chain_observatories(&self, bridge: &mut ChainBridge, telemetry: &Telemetry) {
-        if self.audit_on {
-            bridge.set_audit(Some(Box::new(
-                InvariantAuditor::new(AuditConfig::from_env("chain")).with_hub(telemetry),
-            )));
-        }
-        if self.latency_on {
-            bridge.set_latency(Some(Box::new(LatencyObservatory::new())));
-        }
-        if self.health_on {
-            bridge.set_health(Some(Box::new(HealthObservatory::new())));
-        }
-        if self.span_trace_on {
-            bridge.set_trace(Some(Box::new(
-                tcpfo_telemetry::SpanSampler::with_default_period(telemetry.trace.clone()),
-            )));
-        }
-    }
-
-    fn attach_secondary_observatories(&self, bridge: &mut SecondaryBridge, telemetry: &Telemetry) {
-        if self.audit_on {
-            bridge.set_audit(Some(Box::new(
-                InvariantAuditor::new(AuditConfig::from_env("chain-tail")).with_hub(telemetry),
-            )));
-        }
-        if self.latency_on {
-            bridge.set_latency(Some(Box::new(LatencyObservatory::new())));
-        }
-        if self.health_on {
-            bridge.set_health(Some(Box::new(HealthObservatory::new())));
-        }
-    }
-
-    fn prime_arp_caches(&mut self) {
-        use addrs::*;
-        let addrs_copy = self.replica_addrs.clone();
-        self.sim.with::<Host, _>(self.client, |h, _| {
-            h.net_mut().prime_arp(GW_CLIENT, macs::ROUTER_CLIENT);
-        });
-        self.sim.with::<Router, _>(self.router, |r, _| {
-            r.prime_arp(A_C, 0, macs::CLIENT);
-            for (i, &a) in addrs_copy.iter().enumerate() {
-                r.prime_arp(a, 1, MacAddr::from_index(2 + i as u32));
-            }
-        });
-        for (i, &node) in self.replicas.clone().iter().enumerate() {
-            let addrs_copy = self.replica_addrs.clone();
-            self.sim.with::<Host, _>(node, |h, _| {
-                h.net_mut().prime_arp(GW_SERVER, macs::ROUTER_SERVER);
-                for (j, &a) in addrs_copy.iter().enumerate() {
-                    if j != i {
-                        h.net_mut().prime_arp(a, MacAddr::from_index(2 + j as u32));
-                    }
-                }
-            });
-        }
     }
 
     /// Kills replica `i` (0 = head) fail-stop, stamping the §5 failure
@@ -469,85 +346,26 @@ impl ChainTestbed {
             self.next_hub_port < self.config.replicas + 1 + STANDBY_PORTS,
             "no hub port left for another standby"
         );
-        let addr = Ipv4Addr::new(10, 0, 0, 2 + k as u8);
-        let mac = MacAddr::from_index(2 + k as u32);
+        let addr = server_addr(k);
         let now = self.sim.now().as_nanos();
         self.tracker.begin(addr, now);
-        let tail = self.tail_index();
         self.replica_addrs.push(addr);
         self.dead.push(false);
 
-        // The standby mirrors a founding tail: secondary bridge
-        // diverting to the current tail (which will convert to a
-        // middle as part of the handoff).
-        let telemetry = Telemetry::from_env();
-        if self.span_trace_on {
-            telemetry
-                .trace
-                .attach(tcpfo_telemetry::span::env_trace_capacity());
-        }
-        self.tracker.attach_timeline(telemetry.redundancy.clone());
-        self.tracker.attach_tracer(telemetry.trace.clone());
-        let fo = FailoverConfig::from_ports(self.config.failover_ports.iter().copied());
-        let mut hc = HostConfig::new(&format!("replica{k}"), mac, addr)
-            .with_gateway(addrs::GW_SERVER)
-            .with_tcp(
-                self.config
-                    .tcp
-                    .clone()
-                    .with_isn_seed(self.config.seed ^ ((k as u64 + 2) << 32)),
-            );
-        hc.cpu = self.config.cpu;
-        hc.tick = self.config.tick;
-        hc.promiscuous = true;
-        let mut host = Host::new(hc);
-        host.set_telemetry(&telemetry);
-        let mut bridge = SecondaryBridge::new(addrs::A_P, addr, fo);
-        bridge.set_upstream(self.replica_addrs[tail]);
-        bridge.set_telemetry(&telemetry);
-        self.attach_secondary_observatories(&mut bridge, &telemetry);
-        host.set_filter(Box::new(bridge));
-        let mut controller =
-            ChainController::new(self.replica_addrs.clone(), k, self.config.detector);
-        controller.set_telemetry(&telemetry);
-        for (i, &dead) in self.dead.iter().enumerate() {
-            if dead {
-                controller.set_peer_dead(self.replica_addrs[i]);
-            }
-        }
-        host.set_controller(Box::new(controller));
-        for &p in &self.config.failover_ports {
-            host.stack_mut().add_failover_port(p);
-        }
-        let id = spawn_host(&mut self.sim, host);
-        self.sim.connect(
-            (self.hub, self.next_hub_port),
-            (id, 0),
-            LinkParams::attachment(),
-        );
-        self.next_hub_port += 1;
+        // The standby mirrors a founding tail: its secondary bridge
+        // diverts to the current tail (which will convert to a middle as
+        // part of the handoff).
+        let id = self.spawn_replica(k);
         self.replicas.push(id);
-        self.hubs.push(telemetry);
 
-        // ARP, both directions, plus the router for good measure.
-        let addrs_copy = self.replica_addrs.clone();
-        self.sim.with::<Host, _>(id, move |h, _| {
-            h.net_mut().prime_arp(addrs::GW_SERVER, macs::ROUTER_SERVER);
-            for (j, &a) in addrs_copy.iter().enumerate() {
-                if j != k {
-                    h.net_mut().prime_arp(a, MacAddr::from_index(2 + j as u32));
-                }
-            }
-        });
+        // The survivors and the router learn about the new chain member.
+        let mac = server_mac(addr);
         for (i, &node) in self.replicas.clone().iter().enumerate() {
             if i == k || self.dead[i] {
                 continue;
             }
             self.sim.with::<Host, _>(node, |h, _| {
                 h.net_mut().prime_arp(addr, mac);
-            });
-            // The survivors learn about the new chain member.
-            self.sim.with::<Host, _>(node, |h, _| {
                 h.controller_mut::<ChainController>().append_replica(addr);
             });
         }
@@ -595,51 +413,33 @@ impl ChainTestbed {
     pub fn convert_tail_to_middle(&mut self, standby: usize, handoffs: &[FlowHandoff]) {
         let tail = self.tail_index0_before(standby);
         let node = self.replicas[tail];
-        let vip = addrs::A_P;
-        let own = self.replica_addrs[tail];
-        let downstream = self.replica_addrs[standby];
-        let fo = FailoverConfig::from_ports(self.config.failover_ports.iter().copied());
-        let telemetry = self.hubs[tail].clone();
         let now = self.sim.now().as_nanos();
-        let flows = handoffs.len();
-        let handoffs = handoffs.to_vec();
-        let audit_on = self.audit_on;
-        let latency_on = self.latency_on;
-        let health_on = self.health_on;
-        let span_trace_on = self.span_trace_on;
-        self.sim.with::<Host, _>(node, move |h, _| {
-            let upstream = h
-                .filter_mut()
+        let upstream = self.sim.with::<Host, _>(node, |h, _| {
+            h.filter_mut()
                 .as_any_mut()
                 .downcast_mut::<SecondaryBridge>()
                 .expect("converting tail runs a SecondaryBridge")
-                .upstream();
-            let mut bridge = ChainBridge::new(vip, own, Some(upstream), downstream, fo);
-            bridge.set_telemetry(&telemetry);
-            if audit_on {
-                bridge.set_audit(Some(Box::new(
-                    InvariantAuditor::new(AuditConfig::from_env("chain")).with_hub(&telemetry),
-                )));
-            }
-            if latency_on {
-                bridge.set_latency(Some(Box::new(LatencyObservatory::new())));
-            }
-            if health_on {
-                bridge.set_health(Some(Box::new(HealthObservatory::new())));
-            }
-            if span_trace_on {
-                bridge.set_trace(Some(Box::new(
-                    tcpfo_telemetry::SpanSampler::with_default_period(telemetry.trace.clone()),
-                )));
-            }
-            for ho in &handoffs {
-                bridge.adopt_flow(ho, now);
-            }
-            h.set_filter(Box::new(bridge));
+                .upstream()
         });
+        let mut bridge = self.builder.bridge(
+            self.replica_addrs[tail],
+            Some(upstream),
+            Some(self.replica_addrs[standby]),
+            "chain",
+            &self.hubs[tail],
+        );
+        let link = bridge
+            .as_any_mut()
+            .downcast_mut::<ChainBridge>()
+            .expect("a bridge with a downstream is a chain link");
+        for ho in handoffs {
+            link.adopt_flow(ho, now);
+        }
+        self.sim
+            .with::<Host, _>(node, move |h, _| h.set_filter(bridge));
         self.catchup_link = Some(tail);
         let backlog = self.catchup_lag();
-        self.tracker.handoff_done(flows, backlog, now);
+        self.tracker.handoff_done(handoffs.len(), backlog, now);
     }
 
     /// The tail index *excluding* the standby already appended by
@@ -664,35 +464,20 @@ impl ChainTestbed {
             let Some(b) = h.filter_mut().as_any_mut().downcast_mut::<ChainBridge>() else {
                 return 0;
             };
-            match b.health() {
+            match b.observers().health() {
                 Some(obs) => obs.lag.unmatched_bytes(),
                 None => b.connection_rows().iter().map(|r| r.pq_bytes as u64).sum(),
             }
         })
     }
 
-    /// Sum of invariant-auditor rule firings across every living
-    /// replica's bridge (0 when the auditor is detached). The PR9
+    /// Sum of invariant-auditor rule firings across every replica's
+    /// bridge, dead or alive (0 when the auditor is detached). The PR9
     /// acceptance gate: a whole failover-plus-reprovisioning round with
     /// the auditor attached must report zero.
     pub fn audit_violations(&mut self) -> u64 {
-        let mut total = 0;
-        for (i, &node) in self.replicas.clone().iter().enumerate() {
-            if self.dead[i] {
-                continue;
-            }
-            total += self.sim.with::<Host, _>(node, |h, _| {
-                let f = h.filter_mut().as_any_mut();
-                if let Some(b) = f.downcast_mut::<ChainBridge>() {
-                    b.audit().map_or(0, |a| a.ledger().total_violations())
-                } else if let Some(b) = f.downcast_mut::<SecondaryBridge>() {
-                    b.audit().map_or(0, |a| a.ledger().total_violations())
-                } else {
-                    0
-                }
-            });
-        }
-        total
+        let nodes = self.replicas.clone();
+        audit_violations(&mut self.sim, &nodes)
     }
 
     /// Checks the catch-up condition and, when the backlog has drained

@@ -26,6 +26,8 @@
 //!   depth: heartbeat fault detection, the §5 takeover (IP takeover via
 //!   gratuitous ARP + TCB re-keying), §6 degradation and rejoin, plus
 //!   the bridge for head and middle links.
+//! * [`replica`] — the one builder for every replica host (bridge by
+//!   chain position, observers, controller, ARP priming).
 //! * [`testbed`] — the paper's Figure-1 topology (client, router,
 //!   shared segment, P, S, optional back-end T) as a one-call builder,
 //!   including the standard-TCP baseline and the switch ablation.
@@ -50,6 +52,7 @@ pub mod detector;
 pub mod flow;
 pub mod primary;
 pub mod queues;
+pub mod replica;
 pub mod reprovision;
 pub mod secondary;
 pub mod testbed;

@@ -43,7 +43,7 @@ use tcpfo_tcp::seq::{seq_gt, seq_le, seq_min};
 use tcpfo_tcp::types::SocketAddr;
 use tcpfo_telemetry::{
     Counter, FlowClass, Gauge, HealthObservatory, HostClock, InvariantAuditor, LatencyObservatory,
-    SpanContext, SpanSampler, Stage, StageLatency, Telemetry,
+    Observers, Stage, StageLatency, Telemetry,
 };
 use tcpfo_wire::ipv4::Ipv4Addr;
 use tcpfo_wire::tcp::{
@@ -346,25 +346,10 @@ pub struct PrimaryBridge {
     /// persist across batches instead of being reallocated per batch.
     /// Lazily grown to the shard count; reset on `set_flow_config`.
     shard_emit: Vec<BytesMut>,
-    /// Online invariant auditor (attached via [`PrimaryBridge::set_audit`]).
-    /// Detached — the default — costs one branch per filtered segment.
-    audit: Option<Box<InvariantAuditor>>,
-    /// Per-stage latency observatory (attached via
-    /// [`PrimaryBridge::set_latency`]). Detached — the default — costs
-    /// one branch per stage site; the hot path never reads the host
-    /// clock.
-    latency: Option<Box<LatencyObservatory>>,
-    /// Replica health & replication-lag observatory (attached via
-    /// [`PrimaryBridge::set_health`]). Detached — the default — costs
-    /// one branch per queue mutation. Attached, it maintains the exact
-    /// unmatched-bytes/segments ledger incrementally (O(1) per
-    /// mutation, no table sweeps) in flat, alloc-free state.
-    health: Option<Box<HealthObservatory>>,
-    /// Hot-path span sampler (attached via [`PrimaryBridge::set_trace`]).
-    /// Detached — the default — costs one branch per batch; attached
-    /// with the tracer detached, one counter bump and one relaxed
-    /// atomic load per batch.
-    trace: Option<Box<SpanSampler>>,
+    /// Auditor, latency, health and span-sampler observers (DESIGN
+    /// §11). The health ledger is O(1) per queue mutation, in flat,
+    /// alloc-free state.
+    obs: Observers,
     /// Last time the flow-table GC swept.
     last_gc: u64,
 }
@@ -413,10 +398,7 @@ impl PrimaryBridge {
             telemetry: None,
             emit_buf: BytesMut::with_capacity(2048),
             shard_emit: Vec::new(),
-            audit: None,
-            latency: None,
-            health: None,
-            trace: None,
+            obs: Observers::default(),
             last_gc: 0,
         }
     }
@@ -434,7 +416,7 @@ impl PrimaryBridge {
                     if let Some(dropped) = table.insert(ev.key, ev.state, ev.data, 0) {
                         self.stats.evicted_flows += 1;
                         if let (Some(h), PrimaryFlow::Live(conn)) =
-                            (self.health.as_deref_mut(), &dropped.data)
+                            (self.obs.health.as_deref_mut(), &dropped.data)
                         {
                             h.lag.drop_flow(conn.pq.len(), conn.mss);
                         }
@@ -446,53 +428,22 @@ impl PrimaryBridge {
         self.shard_emit.clear();
     }
 
-    /// Attaches (or detaches) the online invariant auditor. When
-    /// detached — the default — the only cost is one `Option` branch
-    /// per filtered segment, preserving the zero-allocation steady
-    /// state (`tests/zero_alloc.rs`).
-    pub fn set_audit(&mut self, audit: Option<Box<InvariantAuditor>>) {
-        self.audit = audit;
+    /// The attached observers.
+    pub fn observers(&self) -> &Observers {
+        &self.obs
     }
 
-    /// The attached invariant auditor, if any.
-    pub fn audit(&self) -> Option<&InvariantAuditor> {
-        self.audit.as_deref()
+    /// Mutable access to the attached observers.
+    pub fn observers_mut(&mut self) -> &mut Observers {
+        &mut self.obs
     }
 
-    /// Mutable access to the attached invariant auditor.
-    pub fn audit_mut(&mut self) -> Option<&mut InvariantAuditor> {
-        self.audit.as_deref_mut()
-    }
-
-    /// Attaches (or detaches) the per-stage latency observatory. When
-    /// detached — the default — each stage site costs one `Option`
-    /// branch and the host clock is never read, preserving both the
-    /// zero-allocation steady state (`tests/zero_alloc.rs`) and
-    /// deterministic replay.
-    pub fn set_latency(&mut self, latency: Option<Box<LatencyObservatory>>) {
-        self.latency = latency;
-    }
-
-    /// The attached latency observatory, if any.
-    pub fn latency(&self) -> Option<&LatencyObservatory> {
-        self.latency.as_deref()
-    }
-
-    /// Mutable access to the attached latency observatory.
-    pub fn latency_mut(&mut self) -> Option<&mut LatencyObservatory> {
-        self.latency.as_deref_mut()
-    }
-
-    /// Attaches (or detaches) the replica health & replication-lag
-    /// observatory. When detached — the default — each accounting site
-    /// costs one `Option` branch, preserving the zero-allocation
-    /// steady state (`tests/zero_alloc.rs`, which also proves the
-    /// *attached* hot path allocation-free: all observatory state is
-    /// flat). Attaching mid-run seeds the lag ledger from the current
-    /// queues so the gauge stays exact.
-    pub fn set_health(&mut self, health: Option<Box<HealthObservatory>>) {
-        self.health = health;
-        if let Some(h) = self.health.as_deref_mut() {
+    /// Replaces the attached observers. An attached health observatory
+    /// has its lag ledger seeded from the current queues, so attaching
+    /// mid-run keeps the gauge exact.
+    pub fn set_observers(&mut self, obs: Observers) {
+        self.obs = obs;
+        if let Some(h) = self.obs.health.as_deref_mut() {
             for (_, _, f) in self.flows.iter() {
                 if let PrimaryFlow::Live(c) = f {
                     h.lag.update(0, c.pq.len(), c.mss);
@@ -501,35 +452,14 @@ impl PrimaryBridge {
         }
     }
 
-    /// Attaches (or detaches) the hot-path span sampler. When detached
-    /// — the default — the cost is one `Option` branch per batch. A
-    /// sampled batch records a `batch` span (with per-stage children
-    /// when the latency observatory is also attached) into the
-    /// tracer's pre-allocated ring; the sampler's last span context is
-    /// what the under-load recorder stamps onto tail exemplars.
-    pub fn set_trace(&mut self, trace: Option<Box<SpanSampler>>) {
-        self.trace = trace;
+    /// Attaches (or detaches) the latency observatory alone.
+    pub fn set_latency(&mut self, latency: Option<Box<LatencyObservatory>>) {
+        self.obs.latency = latency;
     }
 
-    /// The attached span sampler, if any.
-    pub fn trace_sampler(&self) -> Option<&SpanSampler> {
-        self.trace.as_deref()
-    }
-
-    /// Span context of the most recent sampled hot-path batch: the
-    /// exemplar link between tail latency samples and the trace.
-    pub fn trace_context(&self) -> Option<SpanContext> {
-        self.trace.as_deref().and_then(|s| s.last_ctx())
-    }
-
-    /// The attached health observatory, if any.
-    pub fn health(&self) -> Option<&HealthObservatory> {
-        self.health.as_deref()
-    }
-
-    /// Mutable access to the attached health observatory.
-    pub fn health_mut(&mut self) -> Option<&mut HealthObservatory> {
-        self.health.as_deref_mut()
+    /// The attached latency observatory, if any.
+    pub fn latency(&self) -> Option<&LatencyObservatory> {
+        self.obs.latency()
     }
 
     /// Diagnostic rows for every tracked connection, in no particular
@@ -579,7 +509,8 @@ impl PrimaryBridge {
             .insert(key, st, PrimaryFlow::Live(conn), now_nanos)
         {
             self.stats.evicted_flows += 1;
-            if let (Some(hobs), PrimaryFlow::Live(c)) = (self.health.as_deref_mut(), &dropped.data)
+            if let (Some(hobs), PrimaryFlow::Live(c)) =
+                (self.obs.health.as_deref_mut(), &dropped.data)
             {
                 hobs.lag.drop_flow(c.pq.len(), c.mss);
             }
@@ -624,9 +555,7 @@ impl PrimaryBridge {
             flows,
             stats,
             telemetry,
-            latency,
-            health,
-            audit,
+            obs,
             ..
         } = self;
         let Some(t) = telemetry else {
@@ -679,19 +608,7 @@ impl PrimaryBridge {
                 g.lru_depth.set_at(shard.len() as u64, now_nanos);
             }
         }
-        if let Some(obs) = latency.as_deref_mut() {
-            obs.publish(&t.hub.registry.scope("core.primary"), now_nanos);
-        }
-        if let Some(obs) = health.as_deref_mut() {
-            obs.publish(&t.hub.registry.scope("core.primary"), now_nanos);
-            // Every audit flight-recorder bundle captures replica
-            // health at fault time: keep the auditor's stored health
-            // snapshot current (off the per-packet path — this runs on
-            // the host tick).
-            if let Some(aud) = audit.as_deref_mut() {
-                aud.set_health_snapshot(obs.to_json());
-            }
-        }
+        obs.publish(&t.hub.registry, "core.primary", now_nanos);
     }
 
     /// Stamps the sim time of the segment currently being filtered, so
@@ -789,7 +706,7 @@ impl PrimaryBridge {
     /// run-to-run nondeterminism in the bridge).
     pub fn secondary_failed(&mut self, now_nanos: u64) -> FilterOutput {
         self.sync_telemetry(now_nanos);
-        if let Some(a) = &mut self.audit {
+        if let Some(a) = &mut self.obs.audit {
             a.note_degraded(now_nanos);
         }
         let live: Vec<ConnKey> = self
@@ -808,7 +725,7 @@ impl PrimaryBridge {
             // The flow leaves replicated operation here: whatever the
             // secondary never matched stops being replication lag
             // (it is flushed straight to the client below).
-            if let Some(h) = self.health.as_deref_mut() {
+            if let Some(h) = self.obs.health.as_deref_mut() {
                 h.lag.drop_flow(conn.pq.len(), conn.mss);
             }
             let Some(delta) = conn.delta else {
@@ -887,7 +804,7 @@ impl PrimaryBridge {
     pub fn reintegrate(&mut self) {
         self.mode = PrimaryMode::Normal;
         let now = self.telemetry.as_ref().map_or(0, |t| t.now_ns);
-        if let Some(a) = &mut self.audit {
+        if let Some(a) = &mut self.obs.audit {
             a.note_reintegrated(now);
         }
         self.journal("reintegrated", &[]);
@@ -906,8 +823,8 @@ impl PrimaryBridge {
         }
         self.last_gc = now_nanos;
         let budget = self.flows.config().gc.max_reaps_per_tick;
-        let PrimaryBridge { flows, health, .. } = self;
-        let mut health = health.as_deref_mut();
+        let PrimaryBridge { flows, obs, .. } = self;
+        let mut health = obs.health.as_deref_mut();
         flows.gc_budgeted(now_nanos, budget, &mut |ev| {
             if let (Some(h), PrimaryFlow::Live(conn)) = (health.as_mut(), &ev.data) {
                 h.lag.drop_flow(conn.pq.len(), conn.mss);
@@ -926,8 +843,8 @@ impl PrimaryBridge {
         if policy.max_reaps_per_batch == 0 {
             return;
         }
-        let PrimaryBridge { flows, health, .. } = self;
-        let mut health = health.as_deref_mut();
+        let PrimaryBridge { flows, obs, .. } = self;
+        let mut health = obs.health.as_deref_mut();
         for shard in flows.shards_mut() {
             shard.gc_budgeted(now_nanos, &policy, policy.max_reaps_per_batch, &mut |ev| {
                 if let (Some(h), PrimaryFlow::Live(conn)) = (health.as_mut(), &ev.data) {
@@ -979,8 +896,7 @@ impl PrimaryBridge {
             stats,
             emit_buf,
             telemetry,
-            latency,
-            health,
+            obs,
             ..
         } = self;
         Engine {
@@ -996,8 +912,11 @@ impl PrimaryBridge {
             stats,
             emit_buf,
             instruments: telemetry.as_ref(),
-            lat: latency.as_deref_mut().map(LatencyObservatory::stages_mut),
-            health: health.as_deref_mut(),
+            lat: obs
+                .latency
+                .as_deref_mut()
+                .map(LatencyObservatory::stages_mut),
+            health: obs.health.as_deref_mut(),
         }
     }
 
@@ -1039,18 +958,22 @@ impl PrimaryBridge {
         // its lag ledger is a single cross-shard accumulator, and the
         // bench profile runs single-threaded, so parallel workers never
         // need (and never get) a health reference.
-        if self.audit.is_some()
+        if self.obs.audit.is_some()
             || self.telemetry.is_some()
-            || self.health.is_some()
-            || self.trace.is_some()
+            || self.obs.health.is_some()
+            || self.obs.trace.is_some()
             || exec.threads() <= 1
         {
             // Hot-path span sampling brackets the whole batch; the
             // stage snapshot is a stack copy taken only on sampled
             // batches, so unsampled batches stay branch-only.
-            let sampling = self.trace.as_deref_mut().is_some_and(|s| s.start_batch());
+            let sampling = self
+                .obs
+                .trace
+                .as_deref_mut()
+                .is_some_and(|s| s.start_batch());
             let before = if sampling {
-                self.latency.as_deref().map(|l| *l.stages())
+                self.obs.latency().map(|l| *l.stages())
             } else {
                 None
             };
@@ -1068,8 +991,8 @@ impl PrimaryBridge {
                 .collect();
             self.gc_batch(now_nanos);
             if sampling {
-                let after = self.latency.as_deref().map(|l| *l.stages());
-                if let Some(s) = self.trace.as_deref_mut() {
+                let after = self.obs.latency().map(|l| *l.stages());
+                if let Some(s) = self.obs.trace.as_deref_mut() {
                     s.finish_batch(segments, before.as_ref(), after.as_ref());
                 }
             }
@@ -1103,7 +1026,7 @@ impl PrimaryBridge {
         let (a_p, a_s, divert_dst, mode, unsafe_ack) =
             (*a_p, *a_s, *divert_dst, *mode, *unsafe_ack_without_min);
         let config: &FailoverConfig = config;
-        let lat_on = self.latency.is_some();
+        let lat_on = self.obs.latency.is_some();
         // Run-to-completion lanes: each shard is paired with its
         // persistent egress buffer and handed to exactly one worker
         // thread, which processes the shard's whole input slice and
@@ -1178,7 +1101,7 @@ impl PrimaryBridge {
         for (out, s) in results {
             if let Some((s, l)) = s {
                 self.stats.add(&s);
-                if let (Some(obs), Some(l)) = (self.latency.as_deref_mut(), l.as_ref()) {
+                if let (Some(obs), Some(l)) = (self.obs.latency.as_deref_mut(), l.as_ref()) {
                     obs.merge_stages(l);
                 }
             }
@@ -2227,33 +2150,33 @@ impl Engine<'_> {
 
 impl SegmentFilter for PrimaryBridge {
     fn on_outbound_into(&mut self, seg: AddressedSegment, now_nanos: u64, out: &mut FilterOutput) {
-        if self.audit.is_none() {
+        if self.obs.audit.is_none() {
             self.outbound_inner(seg, now_nanos, out);
             return;
         }
-        let mut aud = self.audit.take().expect("audit attached");
+        let mut aud = self.obs.audit.take().expect("audit attached");
         aud.begin_event(now_nanos);
         self.audit_outbound_observe(&mut aud, &seg);
         let (w0, t0) = (out.to_wire.len(), out.to_tcp.len());
         self.outbound_inner(seg, now_nanos, out);
         self.audit_scan(&mut aud, out, w0, t0);
         aud.end_event(now_nanos);
-        self.audit = Some(aud);
+        self.obs.audit = Some(aud);
     }
 
     fn on_inbound_into(&mut self, seg: AddressedSegment, now_nanos: u64, out: &mut FilterOutput) {
-        if self.audit.is_none() {
+        if self.obs.audit.is_none() {
             self.inbound_inner(seg, now_nanos, out);
             return;
         }
-        let mut aud = self.audit.take().expect("audit attached");
+        let mut aud = self.obs.audit.take().expect("audit attached");
         aud.begin_event(now_nanos);
         self.audit_inbound_observe(&mut aud, &seg);
         let (w0, t0) = (out.to_wire.len(), out.to_tcp.len());
         self.inbound_inner(seg, now_nanos, out);
         self.audit_scan(&mut aud, out, w0, t0);
         aud.end_event(now_nanos);
-        self.audit = Some(aud);
+        self.obs.audit = Some(aud);
     }
 
     fn on_tick(&mut self, now_nanos: u64) {
@@ -2268,12 +2191,8 @@ impl SegmentFilter for PrimaryBridge {
         }
     }
 
-    fn latency_stages(&self) -> Option<&StageLatency> {
-        self.latency.as_deref().map(LatencyObservatory::stages)
-    }
-
-    fn trace_context(&self) -> Option<SpanContext> {
-        PrimaryBridge::trace_context(self)
+    fn observers(&self) -> Option<&Observers> {
+        Some(&self.obs)
     }
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {

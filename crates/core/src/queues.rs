@@ -132,6 +132,12 @@ impl TakenBytes {
 
 impl PartialEq for TakenBytes {
     fn eq(&self, other: &Self) -> bool {
+        // A release of whole segments is one part on each side: compare
+        // the slices at once. The byte iterator costs a call per byte
+        // wherever the compiler declines to inline it.
+        if let (Some(a), Some(b)) = (self.as_contiguous(), other.as_contiguous()) {
+            return a == b;
+        }
         self.len == other.len && self.iter_bytes().eq(other.iter_bytes())
     }
 }
@@ -537,6 +543,24 @@ mod tests {
         let rest = q.take(17, 2); // remainder of split + "i"
         assert_eq!(rest, b"hi");
         assert_eq!(contrib(rest.sum()), contrib(raw_sum(b"hi")));
+    }
+
+    #[test]
+    fn equality_ignores_part_boundaries() {
+        let mut a = ByteQueue::new();
+        a.insert(10, b"ab", 10);
+        a.insert(12, b"cdefg", 10);
+        let mut b = ByteQueue::new();
+        b.insert(10, b"abcd", 10);
+        b.insert(14, b"e", 10);
+        b.insert(15, b"fg", 10);
+        let (x, y) = (a.take(10, 7), b.take(10, 7));
+        assert_eq!(x, y);
+        let mut c = ByteQueue::new();
+        c.insert(10, b"abcdxfgabcdefg", 10);
+        let (odd, whole) = (c.take(10, 7), c.take(17, 7));
+        assert!(x != odd && x == whole);
+        assert!(odd.as_contiguous().is_some() && odd != whole);
     }
 
     #[test]

@@ -31,8 +31,7 @@ use tcpfo_tcp::filter::{AddressedSegment, FailoverRule, FilterOutput, SegmentFil
 use tcpfo_tcp::types::SocketAddr;
 use tcpfo_telemetry::audit::{SecondaryPhase, TakeoverStep};
 use tcpfo_telemetry::{
-    Counter, FailoverPhase, Gauge, HealthObservatory, HostClock, InvariantAuditor,
-    LatencyObservatory, Stage, Telemetry,
+    Counter, FailoverPhase, Gauge, HostClock, InvariantAuditor, Observers, Stage, Telemetry,
 };
 use tcpfo_wire::ipv4::Ipv4Addr;
 use tcpfo_wire::tcp::{SegmentPatcher, TcpFlags, TcpView};
@@ -147,21 +146,10 @@ pub struct SecondaryBridge {
     /// Statistics.
     pub stats: SecondaryStats,
     telemetry: Option<SecondaryInstruments>,
-    /// Online invariant auditor (attached via
-    /// [`SecondaryBridge::set_audit`]).
-    audit: Option<Box<InvariantAuditor>>,
-    /// Per-stage latency observatory (attached via
-    /// [`SecondaryBridge::set_latency`]). Detached — the default —
-    /// costs one branch per stage site; the hot path never reads the
-    /// host clock.
-    latency: Option<Box<LatencyObservatory>>,
-    /// Replica health observatory (attached via
-    /// [`SecondaryBridge::set_health`]). The secondary holds no output
-    /// queues — replication lag is accounted on the primary side — but
-    /// the attach gives this bridge the same health publish path
-    /// (witness occupancy and takeover-hold signals) and audit
-    /// snapshot hook.
-    health: Option<Box<HealthObservatory>>,
+    /// Auditor, latency and health observers (DESIGN §11). The
+    /// secondary holds no output queues, so its health observatory
+    /// only publishes; replication lag is accounted upstream.
+    obs: Observers,
     /// Sim time of the most recent filtered segment or tick, so the
     /// clock-less takeover calls can stamp auditor events.
     last_now: u64,
@@ -184,9 +172,7 @@ impl SecondaryBridge {
             flows: FlowTable::new(FlowTableConfig::from_env()),
             stats: SecondaryStats::default(),
             telemetry: None,
-            audit: None,
-            latency: None,
-            health: None,
+            obs: Observers::default(),
             last_now: 0,
             last_gc: 0,
         }
@@ -226,60 +212,26 @@ impl SecondaryBridge {
         self.flows.shard_count()
     }
 
-    /// Attaches (or detaches) the online invariant auditor. Detached —
-    /// the default — costs one branch per filtered segment.
-    pub fn set_audit(&mut self, audit: Option<Box<InvariantAuditor>>) {
-        self.audit = audit;
+    /// The attached observers.
+    pub fn observers(&self) -> &Observers {
+        &self.obs
     }
 
-    /// The attached invariant auditor, if any.
-    pub fn audit(&self) -> Option<&InvariantAuditor> {
-        self.audit.as_deref()
+    /// Mutable access to the attached observers.
+    pub fn observers_mut(&mut self) -> &mut Observers {
+        &mut self.obs
     }
 
-    /// Mutable access to the attached invariant auditor.
-    pub fn audit_mut(&mut self) -> Option<&mut InvariantAuditor> {
-        self.audit.as_deref_mut()
-    }
-
-    /// Attaches (or detaches) the per-stage latency observatory. When
-    /// detached — the default — each stage site costs one `Option`
-    /// branch and the host clock is never read.
-    pub fn set_latency(&mut self, latency: Option<Box<LatencyObservatory>>) {
-        self.latency = latency;
-    }
-
-    /// The attached latency observatory, if any.
-    pub fn latency(&self) -> Option<&LatencyObservatory> {
-        self.latency.as_deref()
-    }
-
-    /// Mutable access to the attached latency observatory.
-    pub fn latency_mut(&mut self) -> Option<&mut LatencyObservatory> {
-        self.latency.as_deref_mut()
-    }
-
-    /// Attaches (or detaches) the replica health observatory. Detached
-    /// — the default — costs one branch on the telemetry sync path.
-    pub fn set_health(&mut self, health: Option<Box<HealthObservatory>>) {
-        self.health = health;
-    }
-
-    /// The attached health observatory, if any.
-    pub fn health(&self) -> Option<&HealthObservatory> {
-        self.health.as_deref()
-    }
-
-    /// Mutable access to the attached health observatory.
-    pub fn health_mut(&mut self) -> Option<&mut HealthObservatory> {
-        self.health.as_deref_mut()
+    /// Replaces the attached observers.
+    pub fn set_observers(&mut self, obs: Observers) {
+        self.obs = obs;
     }
 
     /// Host-time stamp opening a stage measurement; 0 (and no clock
     /// read) when the observatory is detached.
     #[inline]
     fn lat_start(&self) -> u64 {
-        if self.latency.is_some() {
+        if self.obs.latency.is_some() {
             HostClock::now_ns()
         } else {
             0
@@ -290,7 +242,7 @@ impl SecondaryBridge {
     /// [`SecondaryBridge::lat_start`].
     #[inline]
     fn lat_end(&mut self, stage: Stage, t0: u64) {
-        if let Some(l) = self.latency.as_deref_mut() {
+        if let Some(l) = self.obs.latency.as_deref_mut() {
             l.record(stage, HostClock::now_ns().saturating_sub(t0));
         }
     }
@@ -321,9 +273,7 @@ impl SecondaryBridge {
             flows,
             stats,
             telemetry,
-            latency,
-            health,
-            audit,
+            obs,
             ..
         } = self;
         let Some(t) = telemetry else {
@@ -359,15 +309,7 @@ impl SecondaryBridge {
                 g.lru_depth.set_at(shard.len() as u64, now_nanos);
             }
         }
-        if let Some(obs) = latency.as_deref_mut() {
-            obs.publish(&t.hub.registry.scope("core.secondary"), now_nanos);
-        }
-        if let Some(obs) = health.as_deref_mut() {
-            obs.publish(&t.hub.registry.scope("core.secondary"), now_nanos);
-            if let Some(aud) = audit.as_deref_mut() {
-                aud.set_health_snapshot(obs.to_json());
-            }
-        }
+        obs.publish(&t.hub.registry, "core.secondary", now_nanos);
     }
 
     /// Current mode.
@@ -410,7 +352,7 @@ impl SecondaryBridge {
     pub fn prepare_takeover(&mut self) {
         self.mode = SecondaryMode::Holding;
         let now = self.last_now;
-        if let Some(a) = &mut self.audit {
+        if let Some(a) = &mut self.obs.audit {
             a.note_takeover_step(TakeoverStep::EgressHold, now);
         }
     }
@@ -421,7 +363,7 @@ impl SecondaryBridge {
     pub fn complete_takeover(&mut self) {
         self.mode = SecondaryMode::Disabled;
         let now = self.last_now;
-        if let Some(a) = &mut self.audit {
+        if let Some(a) = &mut self.obs.audit {
             a.note_takeover_step(TakeoverStep::TranslationOff, now);
         }
     }
@@ -658,11 +600,11 @@ impl SecondaryBridge {
 impl SegmentFilter for SecondaryBridge {
     fn on_outbound_into(&mut self, seg: AddressedSegment, now: u64, out: &mut FilterOutput) {
         self.last_now = now;
-        if self.audit.is_none() {
+        if self.obs.audit.is_none() {
             self.outbound_inner(seg, now, out);
             return;
         }
-        let mut aud = self.audit.take().expect("audit attached");
+        let mut aud = self.obs.audit.take().expect("audit attached");
         aud.begin_event(now);
         let phase = self.audit_phase();
         let w0 = out.to_wire.len();
@@ -680,16 +622,16 @@ impl SegmentFilter for SecondaryBridge {
             );
         }
         aud.end_event(now);
-        self.audit = Some(aud);
+        self.obs.audit = Some(aud);
     }
 
     fn on_inbound_into(&mut self, seg: AddressedSegment, now: u64, out: &mut FilterOutput) {
         self.last_now = now;
-        if self.audit.is_none() {
+        if self.obs.audit.is_none() {
             self.inbound_inner(seg, now, out);
             return;
         }
-        let mut aud = self.audit.take().expect("audit attached");
+        let mut aud = self.obs.audit.take().expect("audit attached");
         aud.begin_event(now);
         self.audit_inbound_observe(&mut aud, &seg);
         let t0 = out.to_tcp.len();
@@ -698,7 +640,7 @@ impl SegmentFilter for SecondaryBridge {
             aud.check_secondary_deliver_up(self.a_s, s.src, s.dst, &s.bytes, s.trace);
         }
         aud.end_event(now);
-        self.audit = Some(aud);
+        self.obs.audit = Some(aud);
     }
 
     fn on_tick(&mut self, now_nanos: u64) {
@@ -716,8 +658,8 @@ impl SegmentFilter for SecondaryBridge {
         }
     }
 
-    fn latency_stages(&self) -> Option<&tcpfo_telemetry::StageLatency> {
-        self.latency.as_deref().map(LatencyObservatory::stages)
+    fn observers(&self) -> Option<&Observers> {
+        Some(&self.obs)
     }
 
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {

@@ -20,10 +20,10 @@
 //! `[a_p, a_s]`.
 
 use crate::chain::{ChainBridge, ChainController};
-use crate::designation::FailoverConfig;
 use crate::detector::DetectorConfig;
 use crate::flow::FlowTableConfig;
 use crate::primary::PrimaryBridge;
+use crate::replica::ReplicaBuilder;
 use crate::secondary::SecondaryBridge;
 use tcpfo_net::hub::Hub;
 use tcpfo_net::link::LinkParams;
@@ -35,13 +35,10 @@ use tcpfo_net::time::SimDuration;
 use tcpfo_net::trace::{to_pcapng, TraceKind};
 use tcpfo_tcp::config::TcpConfig;
 use tcpfo_tcp::host::{spawn_host, CpuModel, Host, HostConfig};
-use tcpfo_telemetry::audit::{env_audit_enabled, env_capacity};
-use tcpfo_telemetry::health::env_health_enabled;
-use tcpfo_telemetry::latency::env_latency_enabled;
-use tcpfo_telemetry::span::{env_trace_capacity, env_trace_enabled};
+use tcpfo_telemetry::audit::env_capacity;
+use tcpfo_telemetry::span::env_trace_capacity;
 use tcpfo_telemetry::{
-    AuditConfig, FailoverPhase, HealthMonitor, HealthObservatory, InvariantAuditor,
-    LatencyObservatory, MetricsSnapshot, SpanSampler, Telemetry,
+    FailoverPhase, HealthMonitor, MetricsSnapshot, ObserverFlags, Observers, Telemetry,
 };
 use tcpfo_wire::ipv4::Ipv4Addr;
 use tcpfo_wire::mac::MacAddr;
@@ -64,7 +61,8 @@ pub mod addrs {
     pub const GW_SERVER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 }
 
-/// MAC addresses, fixed so ARP caches can be primed.
+/// MAC addresses, fixed so ARP caches can be primed. Server-segment
+/// host `10.0.0.x` has MAC index `x`.
 pub mod macs {
     use tcpfo_wire::mac::MacAddr;
 
@@ -80,6 +78,74 @@ pub mod macs {
     pub const ROUTER_CLIENT: MacAddr = MacAddr::from_index(100);
     /// Router, server side.
     pub const ROUTER_SERVER: MacAddr = MacAddr::from_index(101);
+}
+
+/// Address of server-segment host `i`: P (and the chain head) is 0, S
+/// is 1, and further chain members follow; the back-end T shares
+/// index 2.
+pub(crate) fn server_addr(i: usize) -> Ipv4Addr {
+    Ipv4Addr::new(10, 0, 0, 2 + i as u8)
+}
+
+/// MAC of the server-segment host at `addr`.
+pub(crate) fn server_mac(addr: Ipv4Addr) -> MacAddr {
+    MacAddr::from_index(u32::from(addr.octets()[3]))
+}
+
+/// The router joining the client network to the server segment.
+pub(crate) fn router(delay: SimDuration) -> Router {
+    let iface = |mac, ip| Interface {
+        mac,
+        ip,
+        prefix_len: 24,
+    };
+    Router::new(
+        "router",
+        vec![
+            iface(macs::ROUTER_CLIENT, addrs::GW_CLIENT),
+            iface(macs::ROUTER_SERVER, addrs::GW_SERVER),
+        ],
+        delay,
+    )
+}
+
+/// Primes the client's and the router's ARP caches ("we made sure that
+/// the MAC addresses of all nodes were present in the ARP caches", §9):
+/// the client knows the router, the router knows the client and every
+/// server-segment host in `servers`. Server hosts prime their own
+/// caches when built ([`ReplicaBuilder::server_host`]).
+pub(crate) fn prime_edge_arp(
+    sim: &mut Simulator,
+    client: NodeId,
+    router: NodeId,
+    servers: &[Ipv4Addr],
+) {
+    sim.with::<Host, _>(client, |h, _| {
+        h.net_mut().prime_arp(addrs::GW_CLIENT, macs::ROUTER_CLIENT);
+    });
+    sim.with::<Router, _>(router, |r, _| {
+        r.prime_arp(addrs::A_C, 0, macs::CLIENT);
+        for &a in servers {
+            r.prime_arp(a, 1, server_mac(a));
+        }
+    });
+}
+
+/// Total invariant violations recorded by the auditors of `nodes`'
+/// bridges, dead or alive: a killed node's state stays readable, and
+/// its evidence counts.
+pub(crate) fn audit_violations(sim: &mut Simulator, nodes: &[NodeId]) -> u64 {
+    nodes
+        .iter()
+        .map(|&n| {
+            sim.with::<Host, _>(n, |h, _| {
+                h.filter_mut()
+                    .observers()
+                    .and_then(Observers::audit)
+                    .map_or(0, |a| a.ledger().total_violations())
+            })
+        })
+        .sum()
 }
 
 /// What kind of server segment to build.
@@ -225,94 +291,8 @@ fn flow_config_override(config: &TestbedConfig) -> Option<FlowTableConfig> {
     ))
 }
 
-/// A host on the server segment with the config's CPU model, tick and
-/// TCP settings; its ISN seed is derived from `seed` and `seed_off`.
-fn server_host(
-    config: &TestbedConfig,
-    telemetry: &Telemetry,
-    label: &str,
-    mac: MacAddr,
-    ip: Ipv4Addr,
-    seed_off: u64,
-) -> Host {
-    let tcp = config
-        .tcp
-        .clone()
-        .with_isn_seed(config.seed ^ (seed_off << 32));
-    let mut cfg = HostConfig::new(label, mac, ip)
-        .with_gateway(addrs::GW_SERVER)
-        .with_tcp(tcp);
-    cfg.cpu = config.cpu;
-    cfg.tick = config.tick;
-    let mut host = Host::new(cfg);
-    host.set_telemetry(telemetry);
-    host
-}
-
-/// Replica `index` of the pair (0 = P, 1 = S): a server host with its
-/// bridge, the observatories the config asks for (the auditor labelled
-/// `audit_label`), and the depth-2 chain controller. Both
-/// [`Testbed::new`] and [`Testbed::revive_secondary`] build replicas
-/// here, so a revived secondary is configured like the original.
-fn replica_host(
-    config: &TestbedConfig,
-    telemetry: &Telemetry,
-    index: usize,
-    audit_label: &str,
-) -> Host {
-    use addrs::{A_P, A_S};
-    let mut host = match index {
-        0 => server_host(config, telemetry, "primary", macs::PRIMARY, A_P, 2),
-        _ => server_host(config, telemetry, "secondary", macs::SECONDARY, A_S, 3),
-    };
-    let fo = FailoverConfig::from_ports(config.failover_ports.iter().copied());
-    let flow = flow_config_override(config);
-    let audit = config.audit.unwrap_or_else(env_audit_enabled).then(|| {
-        Box::new(InvariantAuditor::new(AuditConfig::from_env(audit_label)).with_hub(telemetry))
-    });
-    let latency = config
-        .latency
-        .unwrap_or_else(env_latency_enabled)
-        .then(|| Box::new(LatencyObservatory::new()));
-    let health = config
-        .health
-        .unwrap_or_else(env_health_enabled)
-        .then(|| Box::new(HealthObservatory::new()));
-    if index == 0 {
-        let mut bridge = ChainBridge::new(A_P, A_P, None, A_S, fo);
-        if let Some(fc) = flow {
-            bridge.set_flow_config(fc);
-        }
-        bridge.set_telemetry(telemetry);
-        bridge.set_audit(audit);
-        bridge.set_latency(latency);
-        bridge.set_health(health);
-        if config.span_trace.unwrap_or_else(env_trace_enabled) {
-            bridge.set_trace(Some(Box::new(SpanSampler::with_default_period(
-                telemetry.trace.clone(),
-            ))));
-        }
-        host.set_filter(Box::new(bridge));
-    } else {
-        let mut bridge = SecondaryBridge::new(A_P, A_S, fo);
-        if let Some(fc) = flow {
-            bridge.set_flow_config(fc);
-        }
-        bridge.set_telemetry(telemetry);
-        bridge.set_audit(audit);
-        bridge.set_latency(latency);
-        bridge.set_health(health);
-        host.set_filter(Box::new(bridge));
-        host.net_mut().promiscuous = true;
-    }
-    let mut controller = ChainController::new(vec![A_P, A_S], index, config.detector);
-    controller.set_telemetry(telemetry);
-    host.set_controller(Box::new(controller));
-    for &p in &config.failover_ports {
-        host.stack_mut().add_failover_port(p);
-    }
-    host
-}
+/// The pair as a depth-2 chain, head first.
+const PAIR: [Ipv4Addr; 2] = [addrs::A_P, addrs::A_S];
 
 /// The assembled testbed.
 pub struct Testbed {
@@ -335,6 +315,8 @@ pub struct Testbed {
     /// The telemetry hub shared by the simulator, every host stack, the
     /// bridges and the fault detectors.
     pub telemetry: Telemetry,
+    /// Builds P, S and the back-end (a revived S too).
+    builder: ReplicaBuilder,
 }
 
 impl Testbed {
@@ -344,7 +326,22 @@ impl Testbed {
             Some(cap) => Telemetry::with_journal_capacity(cap),
             None => Telemetry::from_env(),
         };
-        if config.span_trace.unwrap_or_else(env_trace_enabled) {
+        let builder = ReplicaBuilder {
+            seed: config.seed,
+            tcp: config.tcp.clone(),
+            cpu: config.cpu,
+            tick: config.tick,
+            failover_ports: config.failover_ports.clone(),
+            detector: config.detector,
+            observers: ObserverFlags::resolve(
+                config.audit,
+                config.latency,
+                config.health,
+                config.span_trace,
+            ),
+            flow: flow_config_override(&config),
+        };
+        if builder.observers.trace {
             telemetry.trace.attach(env_trace_capacity());
         }
         let mut sim = Simulator::new(config.seed);
@@ -359,22 +356,7 @@ impl Testbed {
             SegmentKind::Hub => sim.add_device(Box::new(Hub::new("segment", ports, 100_000_000))),
             SegmentKind::Switch => sim.add_device(Box::new(Switch::new("segment", ports))),
         };
-        let router = sim.add_device(Box::new(Router::new(
-            "router",
-            vec![
-                Interface {
-                    mac: macs::ROUTER_CLIENT,
-                    ip: addrs::GW_CLIENT,
-                    prefix_len: 24,
-                },
-                Interface {
-                    mac: macs::ROUTER_SERVER,
-                    ip: addrs::GW_SERVER,
-                    prefix_len: 24,
-                },
-            ],
-            config.router_delay,
-        )));
+        let router = sim.add_device(Box::new(router(config.router_delay)));
 
         // Client.
         let mut client_cfg = HostConfig::new("client", macs::CLIENT, addrs::A_C)
@@ -386,21 +368,22 @@ impl Testbed {
         client_host.set_telemetry(&telemetry);
         let client = spawn_host(&mut sim, client_host);
 
-        // Primary and secondary.
+        // Primary, secondary and back-end.
         let primary_host = if config.replicated {
-            replica_host(&config, &telemetry, 0, "primary")
+            builder.replica(&PAIR, &[], 0, "primary", "primary", &telemetry)
         } else {
-            server_host(&config, &telemetry, "primary", macs::PRIMARY, addrs::A_P, 2)
+            builder.server_host(0, "primary", &PAIR, &telemetry)
         };
         let primary = spawn_host(&mut sim, primary_host);
-        let secondary = config
-            .replicated
-            .then(|| spawn_host(&mut sim, replica_host(&config, &telemetry, 1, "secondary")));
-
-        // Back-end.
-        let backend = config.with_backend.then(|| {
-            let host = server_host(&config, &telemetry, "backend", macs::BACKEND, addrs::A_T, 4);
+        let secondary = config.replicated.then(|| {
+            let host = builder.replica(&PAIR, &[], 1, "secondary", "secondary", &telemetry);
             spawn_host(&mut sim, host)
+        });
+        let backend = config.with_backend.then(|| {
+            spawn_host(
+                &mut sim,
+                builder.server_host(2, "backend", &PAIR, &telemetry),
+            )
         });
 
         // Wiring.
@@ -437,7 +420,16 @@ impl Testbed {
             sim.connect((segment, 3), (t, 0), attach);
         }
 
-        let mut tb = Testbed {
+        let servers: Vec<Ipv4Addr> = [
+            Some(addrs::A_P),
+            secondary.and(Some(addrs::A_S)),
+            backend.and(Some(addrs::A_T)),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
+        prime_edge_arp(&mut sim, client, router, &servers);
+        Testbed {
             sim,
             client,
             primary,
@@ -447,51 +439,7 @@ impl Testbed {
             segment,
             config,
             telemetry,
-        };
-        tb.prime_arp_caches();
-        tb
-    }
-
-    /// Pre-populates every ARP cache ("we made sure that the MAC
-    /// addresses of all nodes were present in the ARP caches", §9).
-    fn prime_arp_caches(&mut self) {
-        use addrs::*;
-        use macs::*;
-        let secondary = self.secondary;
-        let backend = self.backend;
-        self.sim.with::<Host, _>(self.client, |h, _| {
-            h.net_mut().prime_arp(GW_CLIENT, ROUTER_CLIENT);
-        });
-        self.sim.with::<Router, _>(self.router, |r, _| {
-            r.prime_arp(A_C, 0, CLIENT);
-            r.prime_arp(A_P, 1, PRIMARY);
-            if secondary.is_some() {
-                r.prime_arp(A_S, 1, SECONDARY);
-            }
-            if backend.is_some() {
-                r.prime_arp(A_T, 1, BACKEND);
-            }
-        });
-        self.sim.with::<Host, _>(self.primary, |h, _| {
-            h.net_mut().prime_arp(GW_SERVER, ROUTER_SERVER);
-            h.net_mut().prime_arp(A_S, SECONDARY);
-            h.net_mut().prime_arp(A_T, BACKEND);
-        });
-        if let Some(s) = secondary {
-            self.sim.with::<Host, _>(s, |h, _| {
-                h.net_mut().prime_arp(GW_SERVER, ROUTER_SERVER);
-                h.net_mut().prime_arp(A_P, PRIMARY);
-                h.net_mut().prime_arp(A_T, BACKEND);
-            });
-        }
-        if let Some(t) = backend {
-            self.sim.with::<Host, _>(t, |h, _| {
-                h.net_mut().prime_arp(GW_SERVER, ROUTER_SERVER);
-                h.net_mut().prime_arp(A_P, PRIMARY);
-                if secondary.is_some() {
-                    h.net_mut().prime_arp(A_S, SECONDARY);
-                }
-            });
+            builder,
         }
     }
 
@@ -522,19 +470,22 @@ impl Testbed {
     }
 
     /// Boots a fresh secondary in place of a killed one (empty state,
-    /// same address and wiring) and re-primes its ARP cache. The
-    /// primary reintegrates it on the first heartbeat; apps must be
-    /// reinstalled by the caller.
+    /// same address, wiring and primed ARP cache). The primary
+    /// reintegrates it on the first heartbeat; apps must be reinstalled
+    /// by the caller.
     pub fn revive_secondary(&mut self) {
         let s = self.secondary.expect("replicated testbed");
-        let host = replica_host(&self.config, &self.telemetry, 1, "secondary-revived");
+        let host = self.builder.replica(
+            &PAIR,
+            &[],
+            1,
+            "secondary",
+            "secondary-revived",
+            &self.telemetry,
+        );
         self.sim.replace_device(s, Box::new(host));
         self.sim
             .schedule_timer(s, SimDuration::ZERO, tcpfo_tcp::host::TOKEN_TICK);
-        self.sim.with::<Host, _>(s, |h, _| {
-            h.net_mut().prime_arp(addrs::GW_SERVER, macs::ROUTER_SERVER);
-            h.net_mut().prime_arp(addrs::A_P, macs::PRIMARY);
-        });
     }
 
     /// Runs the simulation for `d`.
@@ -617,35 +568,15 @@ impl Testbed {
         to_pcapng(&entries, |e| matches!(e.kind, TraceKind::Tx { .. }))
     }
 
-    /// Runs `f` against the primary bridge's attached auditor, if any.
-    pub fn with_primary_audit<R>(&mut self, f: impl FnOnce(&InvariantAuditor) -> R) -> Option<R> {
-        self.with_bridge(self.primary, |b: &mut ChainBridge| b.audit().map(f))?
-    }
-
-    /// Runs `f` against the secondary bridge's attached auditor, if
-    /// any.
-    pub fn with_secondary_audit<R>(&mut self, f: impl FnOnce(&InvariantAuditor) -> R) -> Option<R> {
-        let s = self.secondary?;
-        self.with_bridge(s, |b: &mut SecondaryBridge| b.audit().map(f))?
-    }
-
-    /// Runs `f` against the primary bridge's attached latency
-    /// observatory, if any.
-    pub fn with_primary_latency<R>(
+    /// Runs `f` against the observers of `node`'s bridge. `None` when
+    /// the node runs no bridge or `f` returns `None`.
+    pub fn with_observers<R>(
         &mut self,
-        f: impl FnOnce(&LatencyObservatory) -> R,
+        node: NodeId,
+        f: impl FnOnce(&Observers) -> Option<R>,
     ) -> Option<R> {
-        self.with_bridge(self.primary, |b: &mut ChainBridge| b.latency().map(f))?
-    }
-
-    /// Runs `f` against the secondary bridge's attached latency
-    /// observatory, if any.
-    pub fn with_secondary_latency<R>(
-        &mut self,
-        f: impl FnOnce(&LatencyObservatory) -> R,
-    ) -> Option<R> {
-        let s = self.secondary?;
-        self.with_bridge(s, |b: &mut SecondaryBridge| b.latency().map(f))?
+        self.sim
+            .with::<Host, _>(node, |h, _| h.filter_mut().observers().and_then(f))
     }
 
     /// Runs `f` against the primary's merge bridge itself — for checks
@@ -654,12 +585,6 @@ impl Testbed {
     /// [`PrimaryBridge::connection_rows`]).
     pub fn with_primary_bridge<R>(&mut self, f: impl FnOnce(&PrimaryBridge) -> R) -> Option<R> {
         self.with_bridge(self.primary, |b: &mut ChainBridge| f(b.inner()))
-    }
-
-    /// Runs `f` against the primary bridge's attached health
-    /// observatory (the replication-lag ledger), if any.
-    pub fn with_primary_health<R>(&mut self, f: impl FnOnce(&HealthObservatory) -> R) -> Option<R> {
-        self.with_bridge(self.primary, |b: &mut ChainBridge| b.health().map(f))?
     }
 
     /// Runs `f` against the health monitor with which `node`'s
@@ -688,11 +613,8 @@ impl Testbed {
     /// Total invariant violations recorded by both bridges' auditors
     /// (0 when detached).
     pub fn audit_violations(&mut self) -> u64 {
-        self.with_primary_audit(|a| a.ledger().total_violations())
-            .unwrap_or(0)
-            + self
-                .with_secondary_audit(|a| a.ledger().total_violations())
-                .unwrap_or(0)
+        let nodes: Vec<NodeId> = [self.primary].into_iter().chain(self.secondary).collect();
+        audit_violations(&mut self.sim, &nodes)
     }
 
     /// Everything needed to diagnose a failed run from the log alone:
@@ -719,13 +641,16 @@ impl Testbed {
         }
         out.push_str("--- metrics ---\n");
         out.push_str(&snap.to_table());
-        if let Some(report) = self.with_primary_audit(|a| a.report()) {
-            out.push_str("--- primary auditor ---\n");
-            out.push_str(&report);
-        }
-        if let Some(report) = self.with_secondary_audit(|a| a.report()) {
-            out.push_str("--- secondary auditor ---\n");
-            out.push_str(&report);
+        for (node, which) in [
+            (Some(self.primary), "primary"),
+            (self.secondary, "secondary"),
+        ] {
+            if let Some(report) =
+                node.and_then(|n| self.with_observers(n, |o| o.audit().map(|a| a.report())))
+            {
+                out.push_str(&format!("--- {which} auditor ---\n"));
+                out.push_str(&report);
+            }
         }
         out
     }

@@ -17,7 +17,7 @@ use std::net::Ipv4Addr;
 use tcpfo_core::designation::FailoverConfig;
 use tcpfo_core::primary::PrimaryBridge;
 use tcpfo_tcp::filter::{AddressedSegment, FilterOutput, SegmentFilter};
-use tcpfo_telemetry::HealthObservatory;
+use tcpfo_telemetry::{HealthObservatory, Observers};
 use tcpfo_wire::tcp::{SegmentPatcher, TcpFlags, TcpSegment};
 
 struct CountingAlloc;
@@ -202,9 +202,12 @@ fn steady_state_release_path_does_not_allocate() {
 #[test]
 fn steady_state_release_path_with_health_attached_does_not_allocate() {
     let mut bridge = established();
-    bridge.set_health(Some(Box::new(HealthObservatory::new())));
+    bridge.set_observers(Observers {
+        health: Some(Box::new(HealthObservatory::new())),
+        ..Observers::default()
+    });
     let delta = measure_rounds(&mut bridge);
-    let obs = bridge.health().expect("attached");
+    let obs = bridge.observers().health().expect("attached");
     assert!(
         obs.lag.releases() >= (WARMUP + MEASURED) as u64,
         "lag ledger saw every release"
@@ -369,9 +372,12 @@ fn chain_middle_release_path_does_not_allocate() {
 #[test]
 fn chain_middle_release_path_with_health_attached_does_not_allocate() {
     let mut bridge = established_middle();
-    bridge.set_health(Some(Box::new(HealthObservatory::new())));
+    bridge.set_observers(Observers {
+        health: Some(Box::new(HealthObservatory::new())),
+        ..Observers::default()
+    });
     let delta = measure_chain_rounds(&mut bridge);
-    let obs = bridge.health().expect("attached");
+    let obs = bridge.observers().health().expect("attached");
     assert!(
         obs.lag.releases() >= (WARMUP + MEASURED) as u64,
         "lag ledger saw every release"

@@ -11,7 +11,7 @@
 use crate::types::{FourTuple, SocketAddr};
 use bytes::Bytes;
 use tcpfo_telemetry::audit::AuditKey;
-use tcpfo_telemetry::{SpanContext, StageLatency};
+use tcpfo_telemetry::Observers;
 use tcpfo_wire::ipv4::Ipv4Addr;
 use tcpfo_wire::tcp::peek_ports;
 
@@ -303,19 +303,11 @@ pub trait SegmentFilter {
     /// or port-set configuration). Filters that do not care ignore it.
     fn designate(&mut self, _rule: FailoverRule) {}
 
-    /// The filter's accumulated per-stage latency histograms, when a
-    /// latency observatory is attached. `None` — the default — for
-    /// filters without one (or with it detached).
-    fn latency_stages(&self) -> Option<&StageLatency> {
-        None
-    }
-
-    /// The span context of the filter's most recent sampled hot-path
-    /// batch, when a span sampler is attached and has sampled one.
-    /// `None` — the default — for filters without one. Load drivers
-    /// stamp this onto tail-latency samples so top-bucket histogram
-    /// entries carry exemplar links into the failover trace.
-    fn trace_context(&self) -> Option<SpanContext> {
+    /// The filter's attached observers (auditor, latency, health, span
+    /// sampler), for bridges that carry them. `None` — the default —
+    /// for filters without any. Testbeds and load drivers read every
+    /// bridge's observers here, whatever the bridge's type.
+    fn observers(&self) -> Option<&Observers> {
         None
     }
 

@@ -40,6 +40,7 @@ pub mod health;
 pub mod journal;
 pub mod json;
 pub mod latency;
+pub mod observers;
 pub mod registry;
 pub mod span;
 pub mod table;
@@ -57,6 +58,7 @@ pub use latency::{
     HostClock, HostHistogram, LatencyObservatory, LogHistogram, Quantile, SimHistogram, Stage,
     StageLatency,
 };
+pub use observers::{ObserverFlags, Observers};
 pub use registry::{
     escape_help_text, escape_label_value, prom_family, prom_sample, Counter, Gauge, GaugeSnapshot,
     Histogram, HistogramSnapshot, MetricsSnapshot, Registry, Scope,

@@ -57,7 +57,7 @@ fn decode_wire(out: &FilterOutput, i: usize) -> TcpSegment {
 /// returns it established.
 fn established(audit: InvariantAuditor) -> PrimaryBridge {
     let mut b = PrimaryBridge::new(A_P, A_S, FailoverConfig::from_ports([80]));
-    b.set_audit(Some(Box::new(audit)));
+    b.observers_mut().audit = Some(Box::new(audit));
     let syn = raw(
         A_C,
         A_P,
@@ -172,7 +172,7 @@ fn clean_run_exercises_rules_without_violations() {
     assert!(done, "audited transfer did not complete");
     assert_eq!(tb.audit_violations(), 0, "clean run must not trip a rule");
     let p_ledger = tb
-        .with_primary_audit(|a| a.ledger().clone())
+        .with_observers(tb.primary, |o| o.audit().map(|a| a.ledger().clone()))
         .expect("primary auditor attached");
     assert!(
         p_ledger.total_checks() > 0,
@@ -192,7 +192,9 @@ fn clean_run_exercises_rules_without_violations() {
         );
     }
     let s_ledger = tb
-        .with_secondary_audit(|a| a.ledger().clone())
+        .with_observers(tb.secondary.unwrap(), |o| {
+            o.audit().map(|a| a.ledger().clone())
+        })
         .expect("secondary auditor attached");
     assert!(
         s_ledger.stat(Rule::Translate).checks > 0,
@@ -201,7 +203,7 @@ fn clean_run_exercises_rules_without_violations() {
     );
     // No violation → no flight-recorder bundle.
     assert_eq!(
-        tb.with_primary_audit(|a| a.bundle_path().is_some()),
+        tb.with_observers(tb.primary, |o| o.audit().map(|a| a.bundle_path().is_some())),
         Some(false)
     );
 }
@@ -246,7 +248,7 @@ fn broken_bridge_trips_auditor_and_dumps_bundle() {
         "broken bridge released the unsafe primary-only ack"
     );
 
-    let aud = b.audit().expect("auditor still attached");
+    let aud = b.observers().audit().expect("auditor still attached");
     assert!(
         aud.ledger().stat(Rule::AckMin).violations >= 1,
         "ack_min must have fired:\n{}",
@@ -332,7 +334,7 @@ fn bare_ack_synthesised_before_retransmission_timer_under_audit() {
     assert!(bare.flags.contains(TcpFlags::ACK));
     assert_eq!(bare.ack, ISS_C + 4, "acknowledges the client bytes");
 
-    let aud = b.audit().expect("auditor attached");
+    let aud = b.observers().audit().expect("auditor attached");
     assert!(
         aud.ledger().stat(Rule::BareAck).checks >= 1,
         "§3.4 rule must have been evaluated:\n{}",
@@ -371,7 +373,9 @@ fn failover_is_sequenced_by_secondary_auditor() {
     assert_eq!(mismatches, 0, "stream corrupted across failover");
     assert_eq!(tb.audit_violations(), 0, "failover must not trip a rule");
     let s_ledger = tb
-        .with_secondary_audit(|a| a.ledger().clone())
+        .with_observers(tb.secondary.unwrap(), |o| {
+            o.audit().map(|a| a.ledger().clone())
+        })
         .expect("secondary auditor attached");
     assert!(
         s_ledger.stat(Rule::FailoverOrder).checks >= 1,

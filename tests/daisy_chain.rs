@@ -10,9 +10,11 @@ use tcp_failover::apps::stream::{SinkServer, SourceServer};
 use tcp_failover::core::chain_testbed::{ChainConfig, ChainTestbed};
 use tcp_failover::core::reprovision::ReprovisionPhase;
 use tcp_failover::core::testbed::addrs;
+use tcp_failover::core::ChainBridge;
 use tcp_failover::net::time::SimDuration;
 use tcp_failover::tcp::host::Host;
 use tcp_failover::tcp::types::SocketAddr;
+use tcp_failover::telemetry::{AuditConfig, InvariantAuditor};
 
 fn vip(port: u16) -> SocketAddr {
     SocketAddr::new(addrs::A_P, port)
@@ -332,4 +334,46 @@ fn failure_during_reprovision_catchup_degrades_gracefully() {
     });
     assert!(served > 0, "standby never served after the second failure");
     assert_eq!(tb.audit_violations(), 0);
+}
+
+#[test]
+fn killed_replicas_audit_evidence_still_counts() {
+    // A killed node's bridge state stays readable, so the testbed's
+    // violation count must not drop when the replica that recorded the
+    // violations dies.
+    let mut tb = ChainTestbed::new(ChainConfig {
+        replicas: 3,
+        seed: 14,
+        audit: Some(false),
+        ..ChainConfig::default()
+    });
+    tb.install_servers(|| SinkServer::new(80));
+    let dir = std::env::temp_dir().join(format!("tcpfo-chain-audit-{}", std::process::id()));
+    tb.sim.with::<Host, _>(tb.replicas[0], |h, _| {
+        let head = h
+            .filter_mut()
+            .as_any_mut()
+            .downcast_mut::<ChainBridge>()
+            .expect("head runs a ChainBridge");
+        // The min-ack ablation makes the head's own auditor fire.
+        head.inner_mut().unsafe_ack_without_min = true;
+        head.observers_mut().audit = Some(Box::new(InvariantAuditor::new(
+            AuditConfig::new("chain")
+                .panic_on_violation(false)
+                .bundle_dir(&dir),
+        )));
+    });
+    tb.sim.with::<Host, _>(tb.client, |h, _| {
+        h.add_app(Box::new(BulkSendClient::new(vip(80), 300_000)));
+    });
+    tb.run_for(SimDuration::from_secs(2));
+    let before = tb.audit_violations();
+    assert!(before > 0, "the ablated head never tripped its auditor");
+    tb.kill_replica(0);
+    assert_eq!(
+        tb.audit_violations(),
+        before,
+        "the dead head's violations vanished from the count"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

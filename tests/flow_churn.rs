@@ -149,8 +149,8 @@ fn primary_tombstones_do_not_accumulate_under_churn() {
     // The CI soak runs this under `TCPFO_AUDIT=1`: the online auditor
     // rides along the whole churn, checking every segment.
     if env_audit_enabled() {
-        b.set_audit(Some(Box::new(InvariantAuditor::new(
-            AuditConfig::from_env("primary"),
+        b.observers_mut().audit = Some(Box::new(InvariantAuditor::new(AuditConfig::from_env(
+            "primary",
         ))));
     }
     let mut peak = 0usize;
@@ -180,7 +180,7 @@ fn primary_tombstones_do_not_accumulate_under_churn() {
     b.on_tick(end);
     assert_eq!(b.flow_count(), 0, "table drains once churn stops");
     assert_eq!(b.stats.flows_reaped, u64::from(CYCLES));
-    if let Some(audit) = b.audit() {
+    if let Some(audit) = b.observers().audit() {
         assert!(audit.ledger().total_checks() > 0, "auditor saw the churn");
         assert!(
             audit.violations().is_empty(),

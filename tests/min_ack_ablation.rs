@@ -45,7 +45,7 @@ fn run(unsafe_ack: bool, seed: u64) -> (bool, u64) {
             // The whole point of this run is to violate the §3.2 min-ack
             // invariant; detach the auditor (if `TCPFO_AUDIT=1` attached
             // one) so it doesn't — correctly — abort the ablation.
-            bridge.set_audit(None);
+            bridge.observers_mut().audit = None;
         });
     }
     tb.sim.with::<Host, _>(tb.client, |h, _| {

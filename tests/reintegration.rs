@@ -10,6 +10,7 @@ use tcp_failover::apps::stream::SourceServer;
 use tcp_failover::core::testbed::{addrs, Testbed, TestbedConfig};
 use tcp_failover::core::{ChainBridge, ChainController, PrimaryMode, SecondaryBridge};
 use tcp_failover::net::time::SimDuration;
+use tcp_failover::net::trace::TraceKind;
 use tcp_failover::tcp::host::Host;
 use tcp_failover::tcp::types::SocketAddr;
 
@@ -181,4 +182,52 @@ fn revived_secondary_keeps_flow_table_config() {
     tb.run_for(SimDuration::from_millis(50));
     assert_eq!(shards(&mut tb), 4, "revived secondary lost flow_shards");
     assert_eq!(primary_mode(&mut tb), PrimaryMode::Normal, "reintegrated");
+}
+
+#[test]
+fn revived_secondary_arp_cache_is_primed_like_the_original() {
+    // §9: every ARP cache on the testbed is primed. A revived secondary
+    // is built like the original, so it reaches the back-end T without
+    // asking who has its address.
+    const BACKEND_PORT: u16 = 5432;
+    let mut tb = Testbed::new(TestbedConfig {
+        with_backend: true,
+        ..TestbedConfig::default()
+    });
+    let t = tb.backend.expect("backend host");
+    tb.sim.with::<Host, _>(t, |h, _| {
+        h.add_app(Box::new(SourceServer::new(BACKEND_PORT)));
+    });
+    tb.run_for(SimDuration::from_millis(50));
+    tb.kill_secondary();
+    tb.run_for(SimDuration::from_millis(300));
+    tb.revive_secondary();
+    let s = tb.secondary.unwrap();
+    tb.sim.set_trace_enabled(true);
+    tb.sim.with::<Host, _>(s, |h, _| {
+        h.add_app(Box::new(RequestReplyClient::new(
+            SocketAddr::new(addrs::A_T, BACKEND_PORT),
+            b"SEND 10000\n".to_vec(),
+            10_000,
+        )));
+    });
+    tb.run_for(SimDuration::from_secs(1));
+    tb.sim.with::<Host, _>(s, |h, _| {
+        assert!(
+            h.app_mut::<RequestReplyClient>(0).is_done(),
+            "query to T stalled"
+        );
+    });
+    let arp_requests = tb
+        .sim
+        .trace_tail(usize::MAX)
+        .iter()
+        .filter(|e| e.node == s && matches!(e.kind, TraceKind::Tx { .. }))
+        .filter(|e| {
+            e.frame
+                .as_ref()
+                .is_some_and(|f| f.get(12..14) == Some(&[0x08, 0x06]))
+        })
+        .count();
+    assert_eq!(arp_requests, 0, "revived secondary had to ARP for T");
 }
