@@ -32,8 +32,7 @@ use tcpfo_apps::stream::SourceServer;
 use tcpfo_core::flow::FlowTableConfig;
 use tcpfo_core::testbed::{addrs, Testbed, TestbedConfig};
 use tcpfo_core::{
-    ChainBridge, ChainConfig, ChainController, ChainTestbed, FailoverConfig, PrimaryBridge,
-    SecondaryBridge, TakeoverState,
+    ChainBridge, ChainController, FailoverConfig, PrimaryBridge, SecondaryBridge, TakeoverState,
 };
 use tcpfo_net::time::SimDuration;
 use tcpfo_net::{OpenLoopInjector, ShardExecutor};
@@ -97,11 +96,7 @@ fn run(failover: bool, prom_only: bool) -> i32 {
         latency: Some(true),
         ..TestbedConfig::default()
     });
-    for node in [tb.primary, tb.secondary.expect("replicated testbed")] {
-        tb.sim.with::<Host, _>(node, |h, _| {
-            h.add_app(Box::new(SourceServer::new(80)));
-        });
-    }
+    tb.install_servers(|| SourceServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(RequestReplyClient::new(
             SocketAddr::new(addrs::A_P, 80),
@@ -112,7 +107,7 @@ fn run(failover: bool, prom_only: bool) -> i32 {
     tb.run_for(SimDuration::from_millis(120));
     // Snapshot the primary's connection table mid-transfer, while the
     // bridge still holds live per-connection state.
-    let rows = tb.sim.with::<Host, _>(tb.primary, |h, _| {
+    let rows = tb.sim.with::<Host, _>(tb.replicas[0], |h, _| {
         h.filter_mut()
             .as_any_mut()
             .downcast_mut::<ChainBridge>()
@@ -120,7 +115,7 @@ fn run(failover: bool, prom_only: bool) -> i32 {
             .unwrap_or_default()
     });
     if failover {
-        tb.kill_primary();
+        tb.kill_replica(0);
     }
     tb.run_for(SimDuration::from_secs(20));
 
@@ -152,14 +147,15 @@ fn run(failover: bool, prom_only: bool) -> i32 {
     }
 
     println!("\n=== invariant auditors ===");
-    for node in [Some(tb.primary), tb.secondary].into_iter().flatten() {
+    for node in tb.replicas.clone() {
         if let Some(report) = tb.with_observers(node, |o| o.audit().map(|a| a.report())) {
             println!("{report}");
         }
     }
 
+    // S runs the takeover, so its hub carries the §5 timeline.
     println!("=== failover timeline ===");
-    println!("{}", tb.telemetry.timeline.breakdown());
+    println!("{}", tb.hubs[1].timeline.breakdown());
 
     println!("=== metrics ===");
     println!("{}", render_snapshot(&snap));
@@ -188,11 +184,7 @@ fn watch(args: &[String]) -> i32 {
         latency: Some(true),
         ..TestbedConfig::default()
     });
-    for node in [tb.primary, tb.secondary.expect("replicated testbed")] {
-        tb.sim.with::<Host, _>(node, |h, _| {
-            h.add_app(Box::new(SourceServer::new(80)));
-        });
-    }
+    tb.install_servers(|| SourceServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(RequestReplyClient::new(
             SocketAddr::new(addrs::A_P, 80),
@@ -206,7 +198,7 @@ fn watch(args: &[String]) -> i32 {
         // Kill the primary after the first frame so the takeover lands
         // mid-transfer and the remaining frames show the recovery.
         if failover && frame == 1 {
-            tb.kill_primary();
+            tb.kill_replica(0);
         }
         tb.run_for(slice);
         let snap = tb.metrics_snapshot();
@@ -219,7 +211,7 @@ fn watch(args: &[String]) -> i32 {
             &snap,
             frame,
             frames,
-            &tb.telemetry.timeline.breakdown(),
+            &tb.hubs[1].timeline.breakdown(),
             tb.sim.now(),
         );
     }
@@ -591,11 +583,7 @@ fn health(args: &[String]) -> i32 {
         latency: Some(true),
         ..TestbedConfig::default()
     });
-    for node in [tb.primary, tb.secondary.expect("replicated testbed")] {
-        tb.sim.with::<Host, _>(node, |h, _| {
-            h.add_app(Box::new(SourceServer::new(80)));
-        });
-    }
+    tb.install_servers(|| SourceServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(RequestReplyClient::new(
             SocketAddr::new(addrs::A_P, 80),
@@ -613,7 +601,7 @@ fn health(args: &[String]) -> i32 {
     let kill = frames * 3 / 4;
     let slice = SimDuration::from_millis(250);
     for frame in 0..frames {
-        let p = tb.primary;
+        let p = tb.replicas[0];
         if frame == stage1 {
             tb.reshape_links(p, |l| {
                 l.with_loss((l.loss + 0.05).min(1.0))
@@ -632,7 +620,7 @@ fn health(args: &[String]) -> i32 {
                     .with_jitter(SimDuration::from_millis(8))
             });
         } else if frame == kill {
-            tb.kill_primary();
+            tb.kill_replica(0);
         }
         tb.run_for(slice);
         if !plain {
@@ -644,10 +632,7 @@ fn health(args: &[String]) -> i32 {
     if prom {
         let snap = tb.metrics_snapshot();
         println!("\n{}", snap.to_prometheus());
-        let secondary = tb.secondary.expect("replicated testbed");
-        if let Some(alerts) =
-            tb.with_health_monitor(secondary, |m| m.alerts_prometheus("core.chain.r1"))
-        {
+        if let Some(alerts) = tb.with_health_monitor(1, |m| m.alerts_prometheus("core.chain.r1")) {
             print!("{alerts}");
         }
     }
@@ -680,8 +665,7 @@ fn render_health_frame(
         tb.sim.now().as_nanos() / 1_000_000
     );
 
-    let secondary = tb.secondary.expect("replicated testbed");
-    let view = tb.with_health_monitor(secondary, |m| {
+    let view = tb.with_health_monitor(1, |m| {
         (
             m.score(),
             m.state(),
@@ -730,7 +714,7 @@ fn render_health_frame(
     }
 
     println!("\n── replication lag (primary's ledger) ──");
-    let lag = tb.with_observers(tb.primary, |o| {
+    let lag = tb.with_observers(tb.replicas[0], |o| {
         o.health().map(|obs| {
             (
                 obs.lag.unmatched_bytes(),
@@ -768,12 +752,12 @@ fn chain(args: &[String]) -> i32 {
     let replicas = flag("--replicas", 3).clamp(2, 8);
     let frames = flag("--frames", 8).max(4);
 
-    let mut tb = ChainTestbed::new(ChainConfig {
+    let mut tb = Testbed::new(TestbedConfig {
         replicas,
         seed: 0x1C,
         audit: Some(true),
         health: Some(true),
-        ..ChainConfig::default()
+        ..TestbedConfig::default()
     });
     tb.install_servers(|| SourceServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
@@ -806,19 +790,12 @@ fn chain(args: &[String]) -> i32 {
     }
 
     if prom {
+        tb.sync_telemetry();
         let now = tb.sim.now().as_nanos();
-        for (i, &node) in tb.replicas.clone().iter().enumerate() {
+        for i in 0..tb.replicas.len() {
             if tb.dead[i] {
                 continue;
             }
-            tb.sim.with::<Host, _>(node, |h, _| {
-                let f = h.filter_mut().as_any_mut();
-                if let Some(b) = f.downcast_mut::<ChainBridge>() {
-                    b.sync_telemetry(now);
-                } else if let Some(b) = f.downcast_mut::<SecondaryBridge>() {
-                    b.sync_telemetry(now);
-                }
-            });
             println!("\n# replica {i} ({})", tb.replica_addrs[i]);
             print!("{}", tb.hubs[i].registry.snapshot(now).to_prometheus());
         }
@@ -836,7 +813,7 @@ fn chain(args: &[String]) -> i32 {
 /// One chain-dashboard frame: topology + per-link control-plane state,
 /// lag per hop, the reprovision clock, and the recent chain journal.
 fn render_chain_frame(
-    tb: &mut ChainTestbed,
+    tb: &mut Testbed,
     frame: usize,
     frames: usize,
     kill: usize,
@@ -966,13 +943,13 @@ fn trace(args: &[String]) -> i32 {
         .cloned()
         .unwrap_or_else(|| "FAILOVER_TRACE.json".to_string());
 
-    let mut tb = ChainTestbed::new(ChainConfig {
+    let mut tb = Testbed::new(TestbedConfig {
         replicas,
         seed: 0x1C,
         audit: Some(true),
         health: Some(true),
         span_trace: Some(true),
-        ..ChainConfig::default()
+        ..TestbedConfig::default()
     });
     tb.install_servers(|| SourceServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {

@@ -1,5 +1,5 @@
 //! Application-level chain reprovisioning (PR9): composes the
-//! [`ChainTestbed`] primitives with the [`SourceServer`]'s
+//! [`Testbed`] reprovisioning primitives with the [`SourceServer`]'s
 //! deterministic stream to restore chain redundancy after a takeover.
 //!
 //! The core testbed owns the protocol's stack half — spawning the
@@ -12,7 +12,7 @@
 //! nothing else, because the pattern is a pure function of the offset.
 
 use crate::stream::SourceServer;
-use tcpfo_core::chain_testbed::ChainTestbed;
+use tcpfo_core::testbed::Testbed;
 use tcpfo_net::time::SimDuration;
 use tcpfo_tcp::host::Host;
 
@@ -20,7 +20,7 @@ use tcpfo_tcp::host::Host;
 /// host boots, its controller joins the heartbeat mesh, and the
 /// reprovision clock accrues the provisioning cost the tracker
 /// separates from catch-up.
-const STANDBY_BOOT: SimDuration = SimDuration::from_millis(50);
+pub const STANDBY_BOOT: SimDuration = SimDuration::from_millis(50);
 
 /// Runs one full tail-reprovisioning round against a chain whose
 /// replicas serve [`SourceServer`] streams (app index 0): spawns a
@@ -31,15 +31,15 @@ const STANDBY_BOOT: SimDuration = SimDuration::from_millis(50);
 /// Returns the standby's replica index.
 ///
 /// On return the round is in its catch-up phase; drive it with
-/// [`ChainTestbed::run_until_restored`] (or poll
-/// [`ChainTestbed::catchup_lag`] yourself) until the converted link's
+/// [`Testbed::run_until_restored`] (or poll
+/// [`Testbed::catchup_lag`] yourself) until the converted link's
 /// backlog drains to zero.
 ///
 /// # Panics
 ///
-/// Panics if the tail host's app 0 is not a [`SourceServer`], or if
-/// the testbed has no hub port left for another standby.
-pub fn reprovision_tail(tb: &mut ChainTestbed) -> usize {
+/// Panics if the tail host's app 0 is not a [`SourceServer`], or on a
+/// testbed that cannot take a standby ([`Testbed::spawn_standby`]).
+pub fn reprovision_tail(tb: &mut Testbed) -> usize {
     let tail = tb.tail_index();
     let tail_node = tb.replicas[tail];
     let port = tb

@@ -5,22 +5,21 @@
 
 use tcpfo_apps::driver::{duration_stats, ConnectProbeClient, RequestReplyClient};
 use tcpfo_apps::stream::{SinkServer, SourceServer};
-use tcpfo_bench::{header, kbps, measure_conn_setup, measure_recv_rate, row, us, Mode};
-use tcpfo_core::chain_testbed::{ChainConfig, ChainTestbed};
-use tcpfo_core::testbed::addrs;
+use tcpfo_bench::{
+    header, kbps, measure_conn_setup, measure_recv_rate, paper_testbed, row, us, Mode,
+};
+use tcpfo_core::testbed::{addrs, Testbed, TestbedConfig};
 use tcpfo_net::time::SimDuration;
-use tcpfo_tcp::host::{CpuModel, Host};
+use tcpfo_tcp::host::Host;
 use tcpfo_tcp::types::SocketAddr;
 
-fn chain(replicas: usize, seed: u64) -> ChainTestbed {
-    let mut cfg = ChainConfig {
+/// The calibrated failover testbed (`paper_testbed`) at depth
+/// `replicas`.
+fn chain(replicas: usize, seed: u64) -> Testbed {
+    Testbed::new(TestbedConfig {
         replicas,
-        seed,
-        ..ChainConfig::default()
-    };
-    cfg.cpu = CpuModel::server_2003().with_jitter(0.35);
-    cfg.tcp.nagle = false;
-    ChainTestbed::new(cfg)
+        ..paper_testbed(Mode::Failover, seed)
+    })
 }
 
 fn chain_setup_median(replicas: usize) -> String {

@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use tcpfo_apps::driver::BulkSendClient;
 use tcpfo_apps::stream::SinkServer;
-use tcpfo_bench::{install_servers, paper_testbed, run_until, Mode};
+use tcpfo_bench::{paper_testbed, run_until, Mode};
 use tcpfo_core::testbed::{addrs, Testbed};
 use tcpfo_net::time::SimDuration;
 use tcpfo_tcp::host::Host;
@@ -20,7 +20,7 @@ fn upload(audit: bool, bytes: u64) {
     let mut cfg = paper_testbed(Mode::Failover, 0xE10);
     cfg.audit = Some(audit);
     let mut tb = Testbed::new(cfg);
-    install_servers(&mut tb, || SinkServer::new(80));
+    tb.install_servers(|| SinkServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(BulkSendClient::new(
             SocketAddr::new(addrs::A_P, 80),

@@ -32,8 +32,7 @@ use tcpfo_apps::driver::RequestReplyClient;
 use tcpfo_apps::stream::SourceServer;
 use tcpfo_bench::loadgen::{run_open_loop, OpenLoopConfig};
 use tcpfo_bench::trajectory;
-use tcpfo_core::chain_testbed::{ChainConfig, ChainTestbed};
-use tcpfo_core::testbed::addrs;
+use tcpfo_core::testbed::{addrs, Testbed, TestbedConfig};
 use tcpfo_net::time::SimDuration;
 use tcpfo_tcp::host::Host;
 use tcpfo_tcp::types::SocketAddr;
@@ -63,13 +62,13 @@ struct TracedFailover {
 /// and export the promoting replica's ring as a Chrome trace merged
 /// with the synthetic MTTR waterfall.
 fn traced_failover(total: u64) -> TracedFailover {
-    let mut tb = ChainTestbed::new(ChainConfig {
+    let mut tb = Testbed::new(TestbedConfig {
         replicas: 3,
         seed: 0xFA,
         audit: Some(true),
         health: Some(true),
         span_trace: Some(true),
-        ..ChainConfig::default()
+        ..TestbedConfig::default()
     });
     tb.install_servers(|| SourceServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {

@@ -22,9 +22,7 @@
 use std::time::Instant;
 
 use tcpfo_apps::stream::SinkServer;
-use tcpfo_bench::{
-    install_servers, measure_recv_rate_cfg, measure_send_rate_cfg, paper_testbed, run_until, Mode,
-};
+use tcpfo_bench::{measure_recv_rate_cfg, measure_send_rate_cfg, paper_testbed, run_until, Mode};
 use tcpfo_core::testbed::{addrs, Testbed};
 use tcpfo_tcp::host::Host;
 use tcpfo_tcp::types::SocketAddr;
@@ -166,7 +164,7 @@ fn main() {
     let mut cfg = paper_testbed(Mode::Failover, SEED);
     cfg.audit = Some(true);
     let mut tb = Testbed::new(cfg);
-    install_servers(&mut tb, || SinkServer::new(80));
+    tb.install_servers(|| SinkServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(tcpfo_apps::driver::BulkSendClient::new(
             SocketAddr::new(addrs::A_P, 80),
@@ -180,7 +178,9 @@ fn main() {
     });
     assert!(ok, "audited probe upload did not finish");
     let checks = tb
-        .with_observers(tb.primary, |o| o.audit().map(|a| a.ledger().total_checks()))
+        .with_observers(tb.replicas[0], |o| {
+            o.audit().map(|a| a.ledger().total_checks())
+        })
         .unwrap_or(0);
     let violations = tb.audit_violations();
     assert!(checks > 0, "attached auditor performed no checks");

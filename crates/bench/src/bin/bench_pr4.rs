@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use tcpfo_apps::manyflow::{ManyFlowConfig, ManyFlowNet, ManyFlowWorkload};
 use tcpfo_bench::{json_figure, measure_recv_rate_cfg, measure_send_rate_cfg, paper_testbed, Mode};
-use tcpfo_core::flow::FlowTableConfig;
+use tcpfo_core::flow::{FlowTableConfig, GcPolicy, GC_INTERVAL_NANOS};
 use tcpfo_core::{FailoverConfig, PrimaryBridge};
 use tcpfo_net::ShardExecutor;
 use tcpfo_tcp::filter::{FilterOutput, SegmentFilter};
@@ -201,15 +201,27 @@ fn main() {
     }
     let closed = b.stats.conns_closed;
     let resident_before_gc = b.flow_count();
-    // Tick past the TimeWait TTL: every tombstone must be reaped.
-    b.on_tick(now + 120_000_000_000);
+    // Tick past the TimeWait TTL, then once per GC interval: a tick
+    // reaps at most `max_reaps_per_tick` tombstones (the pause bound),
+    // so draining takes ⌈flows / budget⌉ ticks; one spare is allowed.
+    let max_ticks = churn_cfg
+        .flows
+        .div_ceil(GcPolicy::default().max_reaps_per_tick)
+        + 1;
+    let mut gc_ticks = 0;
+    let mut tick_at = now + 120_000_000_000;
+    while gc_ticks < max_ticks && b.flow_count() > 0 {
+        b.on_tick(tick_at);
+        tick_at += GC_INTERVAL_NANOS;
+        gc_ticks += 1;
+    }
     let resident_after_gc = b.flow_count();
     let gate_churn = closed == churn_cfg.flows as u64
         && resident_before_gc >= churn_cfg.flows
         && resident_after_gc == 0;
     eprintln!(
-        "  churn: {} flows closed, {} resident before GC, {} after",
-        closed, resident_before_gc, resident_after_gc
+        "  churn: {} flows closed, {} resident before GC, {} after {} GC ticks",
+        closed, resident_before_gc, resident_after_gc, gc_ticks
     );
     if !gate_churn {
         eprintln!("  churn FAILED: table must fully drain after the TimeWait TTL");
@@ -273,7 +285,8 @@ fn main() {
          \"churn\": {{\n    \
          \"flows\": {},\n    \
          \"resident_before_gc\": {resident_before_gc},\n    \
-         \"resident_after_gc\": {resident_after_gc}\n  }},\n  \
+         \"resident_after_gc\": {resident_after_gc},\n    \
+         \"gc_ticks\": {gc_ticks}\n  }},\n  \
          \"fig5\": {{\n    \
          \"send_kbps_failover\": {send_fo:.2},\n    \
          \"recv_kbps_failover\": {recv_fo:.2}\n  }},\n  \

@@ -66,11 +66,7 @@ fn stage_latency_run(quick: bool) -> (StageLatency, StageLatency) {
     cfg.audit = Some(false);
     cfg.latency = Some(true);
     let mut tb = Testbed::new(cfg);
-    for node in [tb.primary, tb.secondary.expect("replicated testbed")] {
-        tb.sim.with::<Host, _>(node, |h, _| {
-            h.add_app(Box::new(SourceServer::new(80)));
-        });
-    }
+    tb.install_servers(|| SourceServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(RequestReplyClient::new(
             SocketAddr::new(addrs::A_P, 80),
@@ -85,16 +81,16 @@ fn stage_latency_run(quick: bool) -> (StageLatency, StageLatency) {
     });
     // The primary dies with the kill; harvest its histograms first.
     let primary = tb
-        .with_observers(tb.primary, |o| o.latency().map(|l| *l.stages()))
+        .with_observers(tb.replicas[0], |o| o.latency().map(|l| *l.stages()))
         .expect("observatory attached to primary");
-    tb.kill_primary();
+    tb.kill_replica(0);
     let ok = run_until(&mut tb, SimDuration::from_secs(60), |tb| {
         tb.sim.with::<Host, _>(tb.client, |h, _| {
             h.app_mut::<RequestReplyClient>(0).is_done()
         })
     });
     assert!(ok, "failover transfer did not finish");
-    let s = tb.secondary.expect("replicated testbed");
+    let s = tb.replicas[1];
     let secondary = tb
         .with_observers(s, |o| o.latency().map(|l| *l.stages()))
         .expect("observatory attached to secondary");

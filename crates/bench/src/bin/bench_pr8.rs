@@ -44,7 +44,7 @@ fn staged_degradation() -> (Option<u64>, Option<u64>, String) {
     });
     // Clean baseline: scores settle near 100, SLO windows fill good.
     tb.run_for(SimDuration::from_millis(500));
-    let p = tb.primary;
+    let p = tb.replicas[0];
     // Stage 1: mild — a little extra latency, a trickle of loss.
     tb.reshape_links(p, |l| {
         l.with_loss((l.loss + 0.05).min(1.0))
@@ -67,13 +67,12 @@ fn staged_degradation() -> (Option<u64>, Option<u64>, String) {
     });
     tb.run_for(SimDuration::from_millis(300));
     // The crash the staging was foreshadowing.
-    tb.kill_primary();
+    tb.kill_replica(0);
     tb.run_for(SimDuration::from_millis(500));
-    let s = tb.secondary.unwrap();
-    let warn = tb.with_health_monitor(s, |m| m.first_warn_at()).flatten();
-    let detect = tb.failover_detected_at(s).map(|t| t.as_nanos());
+    let warn = tb.with_health_monitor(1, |m| m.first_warn_at()).flatten();
+    let detect = tb.failover_detected_at(1).map(|t| t.as_nanos());
     let journal = tb
-        .with_health_monitor(s, |m| m.journal().to_json())
+        .with_health_monitor(1, |m| m.journal().to_json())
         .unwrap_or_else(|| "[]".to_string());
     (warn, detect, journal)
 }
@@ -90,11 +89,7 @@ fn held_backlog_exactness() -> LagExactness {
     let mut cfg = paper_testbed(Mode::Failover, 0xF8);
     cfg.health = Some(true);
     let mut tb = Testbed::new(cfg);
-    for node in [tb.primary, tb.secondary.expect("replicated testbed")] {
-        tb.sim.with::<Host, _>(node, |h, _| {
-            h.add_app(Box::new(SourceServer::new(80)));
-        });
-    }
+    tb.install_servers(|| SourceServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(RequestReplyClient::new(
             SocketAddr::new(addrs::A_P, 80),
@@ -110,7 +105,7 @@ fn held_backlog_exactness() -> LagExactness {
     // Fail-stop the witness, then sample well inside the 50 ms
     // detection timeout: the primary has not yet declared its peer dead
     // and is still holding every newly produced byte unmatched.
-    tb.kill_secondary();
+    tb.kill_replica(1);
     tb.run_for(SimDuration::from_millis(20));
     tb.with_primary_bridge(|bridge| {
         let obs = bridge.observers().health().expect("health attached");

@@ -35,9 +35,8 @@ use tcpfo_apps::stream::SourceServer;
 use tcpfo_bench::loadgen::{run_open_loop_chain, OpenLoopConfig};
 use tcpfo_bench::trajectory;
 use tcpfo_core::chain::ChainController;
-use tcpfo_core::chain_testbed::{ChainConfig, ChainTestbed};
 use tcpfo_core::reprovision::ReprovisionPhase;
-use tcpfo_core::testbed::addrs;
+use tcpfo_core::testbed::{addrs, Testbed, TestbedConfig};
 use tcpfo_net::time::SimDuration;
 use tcpfo_tcp::host::Host;
 use tcpfo_tcp::types::SocketAddr;
@@ -70,12 +69,12 @@ struct ChainRecovery {
 /// and drain the catch-up backlog. Auditor and health observatory ride
 /// every bridge throughout.
 fn chain_recovery(total: u64) -> ChainRecovery {
-    let mut tb = ChainTestbed::new(ChainConfig {
+    let mut tb = Testbed::new(TestbedConfig {
         replicas: 3,
         seed: 0xF9,
         audit: Some(true),
         health: Some(true),
-        ..ChainConfig::default()
+        ..TestbedConfig::default()
     });
     tb.install_servers(|| SourceServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {

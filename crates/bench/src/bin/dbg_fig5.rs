@@ -13,7 +13,7 @@ use tcpfo_tcp::types::SocketAddr;
 
 fn main() {
     let mut tb = Testbed::new(paper_testbed(Mode::Failover, 5));
-    install_servers(&mut tb, || SinkServer::new(80));
+    tb.install_servers(|| SinkServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(BulkSendClient::new(
             SocketAddr::new(addrs::A_P, 80),
@@ -28,11 +28,13 @@ fn main() {
     // client retransmits and cwnd under `tcp.client.*`, the bridge
     // counters under `core.primary.*`.
     println!("{}", tb.metrics_snapshot().to_table());
-    let events = tb.telemetry.journal.tail(20);
-    if !events.is_empty() {
-        println!("journal tail:");
-        for e in &events {
-            println!("  {}", e.summary());
+    for (i, hub) in tb.hubs.iter().enumerate() {
+        let events = hub.journal.tail(20);
+        if !events.is_empty() {
+            println!("replica {i} journal tail:");
+            for e in &events {
+                println!("  {}", e.summary());
+            }
         }
     }
     export_run_telemetry(&mut tb, "dbg_fig5");

@@ -77,18 +77,6 @@ pub fn paper_testbed(mode: Mode, seed: u64) -> TestbedConfig {
     cfg
 }
 
-/// Installs `mk()` on the primary (and the secondary when present).
-pub fn install_servers<A: tcpfo_tcp::SocketApp>(tb: &mut Testbed, mk: impl Fn() -> A) {
-    tb.sim.with::<Host, _>(tb.primary, |h, _| {
-        h.add_app(Box::new(mk()));
-    });
-    if let Some(s) = tb.secondary {
-        tb.sim.with::<Host, _>(s, |h, _| {
-            h.add_app(Box::new(mk()));
-        });
-    }
-}
-
 /// Runs `tb` until `done(tb)` or the deadline; returns whether it
 /// finished.
 pub fn run_until(
@@ -114,7 +102,7 @@ pub fn run_until(
 /// §9) and returns their statistics.
 pub fn measure_conn_setup(mode: Mode, n: u32, seed: u64) -> DurationStats {
     let mut tb = Testbed::new(paper_testbed(mode, seed));
-    install_servers(&mut tb, || SinkServer::new(80));
+    tb.install_servers(|| SinkServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(ConnectProbeClient::new(
             SocketAddr::new(addrs::A_P, 80),
@@ -150,7 +138,7 @@ pub fn measure_send_time(mode: Mode, bytes: u64, seed: u64) -> (SimDuration, Sim
 /// overhead).
 pub fn measure_send_time_cfg(cfg: TestbedConfig, bytes: u64) -> (SimDuration, SimDuration) {
     let mut tb = Testbed::new(cfg);
-    install_servers(&mut tb, || SinkServer::new(80));
+    tb.install_servers(|| SinkServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(BulkSendClient::new(
             SocketAddr::new(addrs::A_P, 80),
@@ -184,7 +172,7 @@ pub fn measure_request_reply(mode: Mode, reply_bytes: u64, seed: u64) -> SimDura
 /// [`measure_request_reply`] against an explicit testbed configuration.
 pub fn measure_request_reply_cfg(cfg: TestbedConfig, reply_bytes: u64) -> SimDuration {
     let mut tb = Testbed::new(cfg);
-    install_servers(&mut tb, || SourceServer::new(80));
+    tb.install_servers(|| SourceServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(RequestReplyClient::new(
             SocketAddr::new(addrs::A_P, 80),
@@ -253,7 +241,7 @@ pub fn wan_testbed(mode: Mode, seed: u64) -> TestbedConfig {
 /// Runs one FTP session over the WAN and returns its records.
 pub fn run_ftp_wan(mode: Mode, ops: Vec<FtpOp>, seed: u64) -> Vec<FtpRecord> {
     let mut tb = Testbed::new(wan_testbed(mode, seed));
-    install_servers(&mut tb, FtpServer::new);
+    tb.install_servers(FtpServer::new);
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(FtpClient::new(
             SocketAddr::new(addrs::A_P, FTP_CTRL_PORT),
@@ -303,7 +291,7 @@ pub fn measure_failover_timing(timeout: SimDuration, seed: u64) -> FailoverTimin
         timeout,
     };
     let mut tb = Testbed::new(cfg);
-    install_servers(&mut tb, || SourceServer::new(80));
+    tb.install_servers(|| SourceServer::new(80));
     let total: u64 = 4_000_000;
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(RequestReplyClient::new(
@@ -335,16 +323,14 @@ pub fn measure_failover_timing(timeout: SimDuration, seed: u64) -> FailoverTimin
         }
         if killed_at.is_none() && bytes > total / 4 {
             killed_at = Some(tb.sim.now());
-            tb.kill_primary();
+            tb.kill_replica(0);
         }
         if bytes >= total {
             break;
         }
     }
     let killed_at = killed_at.expect("primary was killed");
-    let detected = tb
-        .failover_detected_at(tb.secondary.expect("replicated"))
-        .expect("detector fired");
+    let detected = tb.failover_detected_at(1).expect("detector fired");
     let completed = tb.sim.with::<Host, _>(tb.client, |h, _| {
         let c = h.app_mut::<RequestReplyClient>(0);
         c.is_done() && c.mismatches == 0
@@ -355,7 +341,7 @@ pub fn measure_failover_timing(timeout: SimDuration, seed: u64) -> FailoverTimin
         detection: detected.duration_since(killed_at),
         client_stall: max_gap,
         completed,
-        mttr: tb.telemetry.timeline.mttr(),
+        mttr: tb.hubs[1].timeline.mttr(),
     }
 }
 
@@ -371,7 +357,7 @@ pub fn measure_goodput_under_loss(mode: Mode, loss: f64, bytes: u64, seed: u64) 
     cfg.client_link = LinkParams::fast_ethernet().with_loss(loss);
     cfg.attachment_loss = loss / 2.0;
     let mut tb = Testbed::new(cfg);
-    install_servers(&mut tb, || SourceServer::new(80));
+    tb.install_servers(|| SourceServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(RequestReplyClient::new(
             SocketAddr::new(addrs::A_P, 80),

@@ -779,6 +779,25 @@ impl<T> FlowTable<T> {
         self.shards.iter().flat_map(Shard::iter)
     }
 
+    /// Rebuilds the table per `config` (new shard count / capacity),
+    /// migrating every resident entry. Entries that no longer fit are
+    /// handed to `dropped`.
+    pub fn reconfigure(&mut self, config: FlowTableConfig, dropped: &mut dyn FnMut(Evicted<T>)) {
+        let mut table = FlowTable::new(config);
+        for shard in &mut self.shards {
+            // Slot-cursor drain: slab order, no key collection — the
+            // slot count is fixed while we only remove.
+            for i in 0..shard.slot_count() {
+                if let Some(ev) = shard.take_slot(i) {
+                    if let Some(lost) = table.insert(ev.key, ev.state, ev.data, 0) {
+                        dropped(lost);
+                    }
+                }
+            }
+        }
+        *self = table;
+    }
+
     /// Aggregated statistics across shards.
     pub fn stats_total(&self) -> ShardStats {
         let mut total = ShardStats::default();

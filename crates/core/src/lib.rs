@@ -29,8 +29,10 @@
 //! * [`replica`] — the one builder for every replica host (bridge by
 //!   chain position, observers, controller, ARP priming).
 //! * [`testbed`] — the paper's Figure-1 topology (client, router,
-//!   shared segment, P, S, optional back-end T) as a one-call builder,
-//!   including the standard-TCP baseline and the switch ablation.
+//!   shared segment, `replicas` servers head first, optional back-end
+//!   T) as a one-call builder: the standard-TCP baseline (one server),
+//!   the pair, daisy chains with standby reprovisioning, and the switch
+//!   ablation.
 //!
 //! # Example
 //!
@@ -42,11 +44,10 @@
 //! // method 2), ready to run.
 //! let mut tb = Testbed::new(TestbedConfig::default());
 //! tb.run_for(SimDuration::from_millis(5));
-//! assert!(tb.secondary.is_some());
+//! assert_eq!(tb.replicas.len(), 2);
 //! ```
 
 pub mod chain;
-pub mod chain_testbed;
 pub mod designation;
 pub mod detector;
 pub mod flow;
@@ -58,11 +59,10 @@ pub mod secondary;
 pub mod testbed;
 
 pub use chain::{ChainBridge, ChainController, ChainStats, TakeoverState};
-pub use chain_testbed::{ChainConfig, ChainTestbed};
 pub use designation::{ConnKey, FailoverConfig};
 pub use detector::DetectorConfig;
 pub use flow::{FlowKey, FlowState, FlowTable, FlowTableConfig};
 pub use primary::{ConnRow, PrimaryBridge, PrimaryMode, PrimaryStats};
 pub use reprovision::{FlowHandoff, ReprovisionPhase, ReprovisionTracker};
 pub use secondary::{SecondaryBridge, SecondaryMode, SecondaryStats};
-pub use testbed::{SegmentKind, Testbed, TestbedConfig};
+pub use testbed::{ChainConfig, ChainTestbed, SegmentKind, Testbed, TestbedConfig};

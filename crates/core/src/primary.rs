@@ -26,13 +26,16 @@
 //! Per-connection state lives in a sharded [`FlowTable`] (see
 //! [`crate::flow`]): bounded capacity with LRU eviction, an explicit
 //! lifecycle, and timer-driven GC that expires §8 tombstones. The
-//! per-flow logic itself runs in an [`Engine`] bound to one shard, so
+//! per-flow logic itself runs in an engine bound to one shard, so
 //! [`PrimaryBridge::process_batch`] can fan a packet batch out across
 //! shards on scoped threads (`tcpfo_net::ShardExecutor`) with a
 //! deterministic input-order merge.
 
 use crate::designation::{ConnKey, FailoverConfig};
-use crate::flow::{Evicted, FlowState, FlowTable, FlowTableConfig, Shard, ShardStats};
+use crate::flow::{
+    Evicted, FlowState, FlowTable, FlowTableConfig, Shard, ShardGauges, ShardStats,
+    GC_INTERVAL_NANOS,
+};
 use crate::queues::{ByteQueue, TakenBytes};
 use bytes::BytesMut;
 use tcpfo_net::ShardExecutor;
@@ -49,10 +52,6 @@ use tcpfo_wire::ipv4::Ipv4Addr;
 use tcpfo_wire::tcp::{
     peek_orig_dest, peek_ports, HeaderTemplate, SegmentPatcher, TcpFlags, TcpSegment, TcpView,
 };
-
-/// How often the timer-driven flow-table GC actually sweeps (the host
-/// tick fires far more often), in sim nanoseconds.
-const GC_INTERVAL_NANOS: u64 = 1_000_000_000;
 
 /// What remains of a connection after the bridge drops its queue state.
 /// Expiry is the flow table's job now: §8 tombstones sit in
@@ -146,17 +145,6 @@ impl PrimaryStats {
     }
 }
 
-/// Per-shard gauge handles (occupancy, inserts, LRU evictions, GC
-/// reaps, lookups, LRU chain depth).
-struct ShardGaugeSet {
-    occupancy: Gauge,
-    inserted: Gauge,
-    evicted: Gauge,
-    reaped: Gauge,
-    lookups: Gauge,
-    lru_depth: Gauge,
-}
-
 /// Registry handles mirroring [`PrimaryStats`] plus output-queue depth
 /// gauges, all under the `core.primary` scope. `now_ns` caches the sim
 /// time of the segment currently being filtered so journal events
@@ -179,10 +167,8 @@ struct PrimaryInstruments {
     flows_reaped: Counter,
     pq_depth: Gauge,
     sq_depth: Gauge,
-    /// Per-shard flow-table gauges under `core.primary.flow`, created
-    /// on demand (the shard count can change via
-    /// [`PrimaryBridge::set_flow_config`]).
-    shard_gauges: Vec<ShardGaugeSet>,
+    /// Per-shard flow-table gauges under `core.primary.flow`.
+    shard_gauges: ShardGauges,
     now_ns: u64,
 }
 
@@ -407,24 +393,16 @@ impl PrimaryBridge {
     /// migrating every resident entry. Entries that no longer fit are
     /// dropped and counted as evictions.
     pub fn set_flow_config(&mut self, config: FlowTableConfig) {
-        let mut table = FlowTable::new(config);
-        for shard in self.flows.shards_mut() {
-            // Slot-cursor drain: slab order, no key collection — the
-            // slot count is fixed while we only remove.
-            for i in 0..shard.slot_count() {
-                if let Some(ev) = shard.take_slot(i) {
-                    if let Some(dropped) = table.insert(ev.key, ev.state, ev.data, 0) {
-                        self.stats.evicted_flows += 1;
-                        if let (Some(h), PrimaryFlow::Live(conn)) =
-                            (self.obs.health.as_deref_mut(), &dropped.data)
-                        {
-                            h.lag.drop_flow(conn.pq.len(), conn.mss);
-                        }
-                    }
-                }
+        let PrimaryBridge {
+            flows, stats, obs, ..
+        } = self;
+        let mut health = obs.health.as_deref_mut();
+        flows.reconfigure(config, &mut |dropped| {
+            stats.evicted_flows += 1;
+            if let (Some(h), PrimaryFlow::Live(conn)) = (health.as_mut(), &dropped.data) {
+                h.lag.drop_flow(conn.pq.len(), conn.mss);
             }
-        }
-        self.flows = table;
+        });
         self.shard_emit.clear();
     }
 
@@ -486,8 +464,9 @@ impl PrimaryBridge {
     }
 
     /// Adopts one reprovisioned flow (PR9 chain catch-up): a live
-    /// connection entry rebuilt from a [`FlowHandoff`] snapshot, its
-    /// merge already synchronised at the handoff's `Δseq` and cursor.
+    /// connection entry rebuilt from a
+    /// [`crate::reprovision::FlowHandoff`] snapshot, its merge already
+    /// synchronised at the handoff's `Δseq` and cursor.
     /// Both output queues start empty — the adopting link's own stream
     /// buffers from the cursor until the fresh tail's diverted stream
     /// matches it, which is exactly the catch-up the lag ledger then
@@ -540,7 +519,7 @@ impl PrimaryBridge {
             flows_reaped: scope.counter("flows_reaped"),
             pq_depth: scope.gauge("pq_depth"),
             sq_depth: scope.gauge("sq_depth"),
-            shard_gauges: Vec::new(),
+            shard_gauges: ShardGauges::new(&telemetry.registry, "core.primary.flow"),
             now_ns: 0,
         });
     }
@@ -584,30 +563,7 @@ impl PrimaryBridge {
         t.flows_reaped.set_at_least(stats.flows_reaped);
         t.pq_depth.set_at(pq, now_nanos);
         t.sq_depth.set_at(sq, now_nanos);
-        while t.shard_gauges.len() < flows.shard_count() {
-            let i = t.shard_gauges.len();
-            let scope = t.hub.registry.scope("core.primary.flow");
-            t.shard_gauges.push(ShardGaugeSet {
-                occupancy: scope.gauge(&format!("shard{i}.occupancy")),
-                inserted: scope.gauge(&format!("shard{i}.inserted")),
-                evicted: scope.gauge(&format!("shard{i}.evicted")),
-                reaped: scope.gauge(&format!("shard{i}.reaps")),
-                lookups: scope.gauge(&format!("shard{i}.lookups")),
-                lru_depth: scope.gauge(&format!("shard{i}.lru_depth")),
-            });
-        }
-        for (i, g) in t.shard_gauges.iter().enumerate() {
-            if i < flows.shard_count() {
-                let shard = flows.shard(i);
-                let s = shard.stats;
-                g.occupancy.set_at(s.occupancy, now_nanos);
-                g.inserted.set_at(s.inserted, now_nanos);
-                g.evicted.set_at(s.evicted, now_nanos);
-                g.reaped.set_at(s.reaped, now_nanos);
-                g.lookups.set_at(s.lookups, now_nanos);
-                g.lru_depth.set_at(shard.len() as u64, now_nanos);
-            }
-        }
+        t.shard_gauges.publish(flows, now_nanos);
         obs.publish(&t.hub.registry, "core.primary", now_nanos);
     }
 
@@ -946,7 +902,7 @@ impl PrimaryBridge {
     /// Falls back to the sequential path when the auditor or telemetry
     /// is attached (both observe cross-flow order) or the executor is
     /// inline. Both paths finish every batch with the same per-shard
-    /// incremental GC drain ([`PrimaryBridge::gc_batch`]), so flow-table
+    /// incremental GC drain (`PrimaryBridge::gc_batch`), so flow-table
     /// state stays identical between them.
     pub fn process_batch(
         &mut self,

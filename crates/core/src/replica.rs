@@ -1,10 +1,9 @@
-//! The one replica builder behind both testbeds.
+//! The one replica builder behind the testbed.
 //!
-//! Every replica host comes from [`ReplicaBuilder::replica`]: the
-//! pair's P and S in [`crate::testbed::Testbed`] (a revived S
-//! included) and every founding member and standby of
-//! [`crate::chain_testbed::ChainTestbed`]. A rebuilt replica is thus
-//! configured exactly like a founding one. Server-segment host `i` sits
+//! Every replica host of [`crate::testbed::Testbed`] comes from
+//! [`ReplicaBuilder::replica`]: every founding member (the pair's P and
+//! S included), every standby and every revived replica. A rebuilt
+//! replica is thus configured exactly like a founding one. Server-segment host `i` sits
 //! at `10.0.0.(2 + i)`; its ISN seed derives from `seed` and `i`.
 
 use crate::chain::{ChainBridge, ChainController};

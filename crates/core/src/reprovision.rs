@@ -14,7 +14,7 @@
 //!    tail's sequence space, the client's `rcv_nxt`, negotiated MSS
 //!    and window) plus the application-stream offset.
 //! 2. **Handoff**: the new tail adopts each flow — a TCB rebuilt at
-//!    the cursor ([`tcpfo_tcp::Stack::adopt`]), the witness gate
+//!    the cursor ([`tcpfo_tcp::TcpStack::adopt`]), the witness gate
 //!    seeded (`SecondaryBridge::witness_flow`), and the application
 //!    resumed at the snapshotted offset. The link above it converts
 //!    from tail to middle and adopts the same flows into its merge

@@ -26,7 +26,9 @@
 //! TCP server".
 
 use crate::designation::{ConnKey, FailoverConfig};
-use crate::flow::{FlowState, FlowTable, FlowTableConfig, ShardStats};
+use crate::flow::{
+    FlowState, FlowTable, FlowTableConfig, ShardGauges, ShardStats, GC_INTERVAL_NANOS,
+};
 use tcpfo_tcp::filter::{AddressedSegment, FailoverRule, FilterOutput, SegmentFilter};
 use tcpfo_tcp::types::SocketAddr;
 use tcpfo_telemetry::audit::{SecondaryPhase, TakeoverStep};
@@ -35,10 +37,6 @@ use tcpfo_telemetry::{
 };
 use tcpfo_wire::ipv4::Ipv4Addr;
 use tcpfo_wire::tcp::{SegmentPatcher, TcpFlags, TcpView};
-
-/// How often the timer-driven flow-table GC actually sweeps (the host
-/// tick fires far more often), in sim nanoseconds.
-const GC_INTERVAL_NANOS: u64 = 1_000_000_000;
 
 /// Per-connection witness state: which directions have closed, so the
 /// lifecycle can walk the entry into `TimeWait` and the GC can reap it.
@@ -72,17 +70,6 @@ pub struct SecondaryStats {
     pub unwitnessed_dropped: u64,
 }
 
-/// Per-shard witness-table gauge handles (occupancy, inserts, LRU
-/// evictions, GC reaps, lookups, LRU chain depth).
-struct ShardGaugeSet {
-    occupancy: Gauge,
-    inserted: Gauge,
-    evicted: Gauge,
-    reaped: Gauge,
-    lookups: Gauge,
-    lru_depth: Gauge,
-}
-
 /// Registry handles mirroring [`SecondaryStats`] under the
 /// `core.secondary` scope, plus the shared hub for timeline marks.
 struct SecondaryInstruments {
@@ -93,10 +80,8 @@ struct SecondaryInstruments {
     evicted_flows: Counter,
     flows_reaped: Counter,
     flow_occupancy: Gauge,
-    /// Per-shard witness-table gauges under `core.secondary.flow`,
-    /// created on demand (the shard count can change via
-    /// [`SecondaryBridge::set_flow_config`]).
-    shard_gauges: Vec<ShardGaugeSet>,
+    /// Per-shard witness-table gauges under `core.secondary.flow`.
+    shard_gauges: ShardGauges,
 }
 
 /// Operating state of the secondary bridge.
@@ -182,19 +167,8 @@ impl SecondaryBridge {
     /// capacity, migrating every resident entry. Entries that no longer
     /// fit are dropped and counted as evictions.
     pub fn set_flow_config(&mut self, config: FlowTableConfig) {
-        let mut table = FlowTable::new(config);
-        for shard in self.flows.shards_mut() {
-            // Slot-cursor drain: slab order, no key collection — the
-            // slot count is fixed while we only remove.
-            for i in 0..shard.slot_count() {
-                if let Some(ev) = shard.take_slot(i) {
-                    if table.insert(ev.key, ev.state, ev.data, 0).is_some() {
-                        self.stats.evicted_flows += 1;
-                    }
-                }
-            }
-        }
-        self.flows = table;
+        let evicted = &mut self.stats.evicted_flows;
+        self.flows.reconfigure(config, &mut |_| *evicted += 1);
     }
 
     /// Number of tracked witness entries.
@@ -261,7 +235,7 @@ impl SecondaryBridge {
             evicted_flows: scope.counter("evicted_flows"),
             flows_reaped: scope.counter("flows_reaped"),
             flow_occupancy: scope.gauge("flow_occupancy"),
-            shard_gauges: Vec::new(),
+            shard_gauges: ShardGauges::new(&telemetry.registry, "core.secondary.flow"),
         });
     }
 
@@ -285,30 +259,7 @@ impl SecondaryBridge {
         t.evicted_flows.set_at_least(stats.evicted_flows);
         t.flows_reaped.set_at_least(stats.flows_reaped);
         t.flow_occupancy.set_at(flows.len() as u64, now_nanos);
-        while t.shard_gauges.len() < flows.shard_count() {
-            let i = t.shard_gauges.len();
-            let scope = t.hub.registry.scope("core.secondary.flow");
-            t.shard_gauges.push(ShardGaugeSet {
-                occupancy: scope.gauge(&format!("shard{i}.occupancy")),
-                inserted: scope.gauge(&format!("shard{i}.inserted")),
-                evicted: scope.gauge(&format!("shard{i}.evicted")),
-                reaped: scope.gauge(&format!("shard{i}.reaps")),
-                lookups: scope.gauge(&format!("shard{i}.lookups")),
-                lru_depth: scope.gauge(&format!("shard{i}.lru_depth")),
-            });
-        }
-        for (i, g) in t.shard_gauges.iter().enumerate() {
-            if i < flows.shard_count() {
-                let shard = flows.shard(i);
-                let s = shard.stats;
-                g.occupancy.set_at(s.occupancy, now_nanos);
-                g.inserted.set_at(s.inserted, now_nanos);
-                g.evicted.set_at(s.evicted, now_nanos);
-                g.reaped.set_at(s.reaped, now_nanos);
-                g.lookups.set_at(s.lookups, now_nanos);
-                g.lru_depth.set_at(shard.len() as u64, now_nanos);
-            }
-        }
+        t.shard_gauges.publish(flows, now_nanos);
         obs.publish(&t.hub.registry, "core.secondary", now_nanos);
     }
 

@@ -7,6 +7,7 @@
 //! `*_at` methods take `now_ns = SimTime::as_nanos()`); nothing in
 //! this module reads a wall clock, so runs stay deterministic.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -275,6 +276,26 @@ impl HistogramSnapshot {
     pub fn p999(&self) -> u64 {
         self.quantile(0.999)
     }
+
+    /// Pools `other`'s observations into this snapshot.
+    fn merge(&mut self, other: HistogramSnapshot) {
+        if other.count == 0 {
+            return;
+        }
+        self.min = if self.count == 0 {
+            other.min
+        } else {
+            self.min.min(other.min)
+        };
+        self.max = self.max.max(other.max);
+        self.count += other.count;
+        self.sum = self.sum.wrapping_add(other.sum);
+        let mut buckets = BTreeMap::new();
+        for (le, c) in self.buckets.drain(..).chain(other.buckets) {
+            *buckets.entry(le).or_default() += c;
+        }
+        self.buckets = buckets.into_iter().collect();
+    }
 }
 
 /// Escapes a Prometheus label value per the text exposition format:
@@ -519,6 +540,33 @@ impl MetricsSnapshot {
         self.histograms.get(name)
     }
 
+    /// Folds `other` (e.g. another telemetry hub's snapshot) into this
+    /// one. A name present in both sums: counters and gauge values
+    /// add, gauge high-water marks take the larger, histograms pool
+    /// their observations.
+    pub fn merge(&mut self, other: MetricsSnapshot) {
+        for (name, v) in other.counters {
+            *self.counters.entry(name).or_default() += v;
+        }
+        for (name, g) in other.gauges {
+            self.gauges
+                .entry(name)
+                .and_modify(|e| {
+                    e.value += g.value;
+                    e.high_water = e.high_water.max(g.high_water);
+                })
+                .or_insert(g);
+        }
+        for (name, h) in other.histograms {
+            match self.histograms.entry(name) {
+                Entry::Vacant(e) => {
+                    e.insert(h);
+                }
+                Entry::Occupied(mut e) => e.get_mut().merge(h),
+            }
+        }
+    }
+
     /// Renders the snapshot as a JSON object.
     pub fn to_json(&self) -> String {
         let mut counters = JsonObject::new();
@@ -636,6 +684,28 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn merge_sums_shared_names_and_keeps_the_rest() {
+        let (a, b) = (Registry::new(), Registry::new());
+        a.counter("shared").add(2);
+        b.counter("shared").add(3);
+        b.counter("only_b").inc();
+        a.gauge("depth").set(4);
+        b.gauge("depth").set(9);
+        b.gauge("depth").set(1);
+        a.histogram("lat").record(10);
+        b.histogram("lat").record(1000);
+        let mut snap = a.snapshot(7);
+        snap.merge(b.snapshot(7));
+        assert_eq!(snap.counter("shared"), Some(5));
+        assert_eq!(snap.counter("only_b"), Some(1));
+        let g = snap.gauge("depth").unwrap();
+        assert_eq!((g.value, g.high_water), (5, 9));
+        let h = snap.histogram("lat").unwrap();
+        assert_eq!((h.count, h.sum, h.min, h.max), (2, 1010, 10, 1000));
+        assert_eq!(h.buckets.iter().map(|&(_, c)| c).sum::<u64>(), 2);
+    }
 
     #[test]
     fn counter_semantics() {

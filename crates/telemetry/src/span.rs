@@ -1035,8 +1035,8 @@ impl<const N: usize> ExemplarHistogram<N> {
 /// Default batches between sampled hot-path batch spans.
 pub const DEFAULT_SAMPLE_PERIOD: u64 = 64;
 
-/// The datapath's hot-path span recorder: samples one batch in
-/// [`SpanSampler::period`] onto the [`SpanTrack::Hotpath`] track, with
+/// The datapath's hot-path span recorder: samples one batch in every
+/// `period` (see [`SpanSampler::new`]) onto the [`SpanTrack::Hotpath`] track, with
 /// one child span per PR5 pipeline stage sized from the stage-latency
 /// deltas the batch produced. Attached to a bridge as
 /// `Option<Box<SpanSampler>>` — detached costs nothing, attached but

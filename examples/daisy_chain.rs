@@ -6,22 +6,21 @@
 
 use tcp_failover::apps::driver::RequestReplyClient;
 use tcp_failover::apps::stream::SourceServer;
-use tcp_failover::core::chain_testbed::{ChainConfig, ChainTestbed};
-use tcp_failover::core::testbed::addrs;
+use tcp_failover::core::testbed::{addrs, Testbed, TestbedConfig};
 use tcp_failover::net::time::SimDuration;
 use tcp_failover::tcp::host::Host;
 use tcp_failover::tcp::types::SocketAddr;
 
-fn progress(tb: &mut ChainTestbed) -> u64 {
+fn progress(tb: &mut Testbed) -> u64 {
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.app_mut::<RequestReplyClient>(0).received_len()
     })
 }
 
 fn main() {
-    let mut tb = ChainTestbed::new(ChainConfig {
+    let mut tb = Testbed::new(TestbedConfig {
         replicas: 4,
-        ..ChainConfig::default()
+        ..TestbedConfig::default()
     });
     println!(
         "chain: {} (head, owns VIP {}) → {} → {} → {} (tail)",

@@ -22,8 +22,8 @@ fn main() {
         ..TestbedConfig::default()
     };
     let mut tb = Testbed::new(cfg);
-    let secondary = tb.secondary.expect("replicated testbed");
-    for node in [tb.primary, secondary] {
+    let secondary = tb.replicas[1];
+    for node in [tb.replicas[0], secondary] {
         tb.sim.with::<Host, _>(node, |h, _| {
             h.add_app(Box::new(FtpServer::new()));
         });
@@ -43,7 +43,7 @@ fn main() {
     // Fail the primary somewhere inside the big download.
     tb.run_for(SimDuration::from_secs(12));
     println!("t={}: killing the primary mid-session", tb.sim.now());
-    tb.kill_primary();
+    tb.kill_replica(0);
     tb.run_for(SimDuration::from_secs(60));
 
     tb.sim.with::<Host, _>(tb.client, |h, _| {

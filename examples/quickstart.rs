@@ -26,8 +26,8 @@ fn main() {
 
     // 2. Actively replicate the server application: the same
     //    deterministic app runs on both replicas.
-    let secondary = tb.secondary.expect("replicated testbed");
-    for node in [tb.primary, secondary] {
+    let secondary = tb.replicas[1];
+    for node in [tb.replicas[0], secondary] {
         tb.sim.with::<Host, _>(node, |h, _| {
             h.add_app(Box::new(SourceServer::new(80)));
         });
@@ -56,7 +56,7 @@ fn main() {
     // 5. …fail the primary. The secondary's fault detector notices,
     //    performs the §5 takeover (stop egress, drop promiscuous mode,
     //    disable translations, gratuitous ARP for a_p, re-key TCBs)…
-    tb.kill_primary();
+    tb.kill_replica(0);
     tb.run_for(SimDuration::from_secs(10));
 
     // 6. …and the client never noticed.
@@ -70,14 +70,12 @@ fn main() {
             c.received_len(),
         );
     });
-    let detected = tb
-        .failover_detected_at(secondary)
-        .expect("fault detector fired");
+    let detected = tb.failover_detected_at(1).expect("fault detector fired");
     println!("primary failure detected at t={detected}");
 
     // 7. The telemetry hub recorded the whole thing: the §5 phase
     //    timeline plus per-layer counters (see `tb.metrics_snapshot()`
     //    for the full table, `tb.export_telemetry_json()` for JSON).
-    println!("\n{}", tb.telemetry.timeline.breakdown());
+    println!("\n{}", tb.hubs[1].timeline.breakdown());
     println!("done: the client's TCP connection survived the server failure.");
 }

@@ -15,8 +15,8 @@ use tcp_failover::tcp::types::SocketAddr;
 
 fn main() {
     let mut tb = Testbed::new(TestbedConfig::default());
-    let secondary = tb.secondary.expect("replicated testbed");
-    for node in [tb.primary, secondary] {
+    let secondary = tb.replicas[1];
+    for node in [tb.replicas[0], secondary] {
         tb.sim.with::<Host, _>(node, |h, _| {
             h.add_app(Box::new(StoreServer::new(80)));
         });
@@ -43,7 +43,7 @@ fn main() {
         .sim
         .with::<Host, _>(tb.client, |h, _| h.app_mut::<StoreClient>(0).replies.len());
     println!("{replies_before}/{total} replies in — killing the primary");
-    tb.kill_primary();
+    tb.kill_replica(0);
     tb.run_for(SimDuration::from_secs(15));
 
     tb.sim.with::<Host, _>(tb.client, |h, _| {

@@ -18,8 +18,8 @@ use tcp_failover::wire::tcp::TcpSegment;
 
 fn main() {
     let mut tb = Testbed::new(TestbedConfig::default());
-    let secondary = tb.secondary.expect("replicated");
-    for node in [tb.primary, secondary] {
+    let secondary = tb.replicas[1];
+    for node in [tb.replicas[0], secondary] {
         tb.sim.with::<Host, _>(node, |h, _| {
             h.add_app(Box::new(SourceServer::new(80)));
         });
@@ -35,7 +35,7 @@ fn main() {
     tb.sim.set_trace_enabled(true);
     tb.run_for(SimDuration::from_millis(5));
     let kill_time = tb.sim.now();
-    tb.kill_primary();
+    tb.kill_replica(0);
     tb.run_for(SimDuration::from_millis(450));
     tb.sim.set_trace_enabled(false);
     tb.run_for(SimDuration::from_secs(10));

@@ -12,36 +12,17 @@ use tcp_failover::net::time::SimDuration;
 use tcp_failover::tcp::host::Host;
 use tcp_failover::tcp::types::SocketAddr;
 
-macro_rules! replicate {
-    ($tb:expr, $mk:expr) => {{
-        let tb: &mut Testbed = $tb;
-        tb.sim.with::<Host, _>(tb.primary, |h, _| {
-            h.add_app(Box::new($mk));
-        });
-        let s = tb.secondary.expect("replicated testbed");
-        tb.sim.with::<Host, _>(s, |h, _| {
-            h.add_app(Box::new($mk));
-        });
-    }};
-}
-
 fn attempt_transfer(segment: SegmentKind, replicated: bool) -> (bool, u64) {
     let mut tb = Testbed::new(TestbedConfig {
         segment,
-        replicated,
+        replicas: if replicated { 2 } else { 1 },
         detector: tcp_failover::core::DetectorConfig {
             // Keep heartbeats healthy; this test is about the datapath.
             ..Default::default()
         },
         ..TestbedConfig::default()
     });
-    if replicated {
-        replicate!(&mut tb, SourceServer::new(80));
-    } else {
-        tb.sim.with::<Host, _>(tb.primary, |h, _| {
-            h.add_app(Box::new(SourceServer::new(80)));
-        });
-    }
+    tb.install_servers(|| SourceServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(RequestReplyClient::new(
             SocketAddr::new(addrs::A_P, 80),
@@ -54,7 +35,7 @@ fn attempt_transfer(segment: SegmentKind, replicated: bool) -> (bool, u64) {
         h.app_mut::<RequestReplyClient>(0).is_done()
     });
     let snooped = if replicated {
-        tb.secondary_stats().ingress_translated
+        tb.secondary_stats(1).ingress_translated
     } else {
         0
     };

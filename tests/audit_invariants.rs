@@ -133,20 +133,6 @@ fn s_seg(seq_off: u32, payload: &'static [u8], ack: u32) -> AddressedSegment {
     )
 }
 
-/// Installs the same app on both replicas (active replication).
-macro_rules! replicate {
-    ($tb:expr, $mk:expr) => {{
-        let tb: &mut Testbed = $tb;
-        tb.sim.with::<Host, _>(tb.primary, |h, _| {
-            h.add_app(Box::new($mk));
-        });
-        let s = tb.secondary.expect("replicated testbed");
-        tb.sim.with::<Host, _>(s, |h, _| {
-            h.add_app(Box::new($mk));
-        });
-    }};
-}
-
 // ---------------------------------------------------------------------
 // (a) Clean audited run: the catalogue is exercised, nothing fires.
 // ---------------------------------------------------------------------
@@ -157,7 +143,7 @@ fn clean_run_exercises_rules_without_violations() {
         audit: Some(true),
         ..TestbedConfig::default()
     });
-    replicate!(&mut tb, SinkServer::new(80));
+    tb.install_servers(|| SinkServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(BulkSendClient::new(
             SocketAddr::new(addrs::A_P, 80),
@@ -172,7 +158,7 @@ fn clean_run_exercises_rules_without_violations() {
     assert!(done, "audited transfer did not complete");
     assert_eq!(tb.audit_violations(), 0, "clean run must not trip a rule");
     let p_ledger = tb
-        .with_observers(tb.primary, |o| o.audit().map(|a| a.ledger().clone()))
+        .with_observers(tb.replicas[0], |o| o.audit().map(|a| a.ledger().clone()))
         .expect("primary auditor attached");
     assert!(
         p_ledger.total_checks() > 0,
@@ -192,9 +178,7 @@ fn clean_run_exercises_rules_without_violations() {
         );
     }
     let s_ledger = tb
-        .with_observers(tb.secondary.unwrap(), |o| {
-            o.audit().map(|a| a.ledger().clone())
-        })
+        .with_observers(tb.replicas[1], |o| o.audit().map(|a| a.ledger().clone()))
         .expect("secondary auditor attached");
     assert!(
         s_ledger.stat(Rule::Translate).checks > 0,
@@ -203,7 +187,9 @@ fn clean_run_exercises_rules_without_violations() {
     );
     // No violation → no flight-recorder bundle.
     assert_eq!(
-        tb.with_observers(tb.primary, |o| o.audit().map(|a| a.bundle_path().is_some())),
+        tb.with_observers(tb.replicas[0], |o| o
+            .audit()
+            .map(|a| a.bundle_path().is_some())),
         Some(false)
     );
 }
@@ -353,7 +339,7 @@ fn failover_is_sequenced_by_secondary_auditor() {
         audit: Some(true),
         ..TestbedConfig::default()
     });
-    replicate!(&mut tb, SourceServer::new(80));
+    tb.install_servers(|| SourceServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(RequestReplyClient::new(
             SocketAddr::new(addrs::A_P, 80),
@@ -362,7 +348,7 @@ fn failover_is_sequenced_by_secondary_auditor() {
         )));
     });
     tb.run_for(SimDuration::from_millis(120));
-    tb.kill_primary();
+    tb.kill_replica(0);
     tb.run_for(SimDuration::from_secs(20));
 
     let (done, mismatches) = tb.sim.with::<Host, _>(tb.client, |h, _| {
@@ -373,9 +359,7 @@ fn failover_is_sequenced_by_secondary_auditor() {
     assert_eq!(mismatches, 0, "stream corrupted across failover");
     assert_eq!(tb.audit_violations(), 0, "failover must not trip a rule");
     let s_ledger = tb
-        .with_observers(tb.secondary.unwrap(), |o| {
-            o.audit().map(|a| a.ledger().clone())
-        })
+        .with_observers(tb.replicas[1], |o| o.audit().map(|a| a.ledger().clone()))
         .expect("secondary auditor attached");
     assert!(
         s_ledger.stat(Rule::FailoverOrder).checks >= 1,

@@ -27,7 +27,7 @@ fn backend_testbed(seed: u64) -> Testbed {
         h.add_app(Box::new(SourceServer::new(BACKEND_PORT)));
     });
     // The replicated application, acting as a TCP client of T.
-    for node in [tb.primary, tb.secondary.unwrap()] {
+    for node in [tb.replicas[0], tb.replicas[1]] {
         tb.sim.with::<Host, _>(node, |h, _| {
             h.add_app(Box::new(RequestReplyClient::new(
                 SocketAddr::new(addrs::A_T, BACKEND_PORT),
@@ -44,7 +44,7 @@ fn replicated_client_queries_unreplicated_backend() {
     let mut tb = backend_testbed(31);
     tb.run_for(SimDuration::from_secs(10));
     // Both replicas received the full (single) response stream.
-    for node in [tb.primary, tb.secondary.unwrap()] {
+    for node in [tb.replicas[0], tb.replicas[1]] {
         tb.sim.with::<Host, _>(node, |h, _| {
             let c = h.app_mut::<RequestReplyClient>(0);
             assert!(c.is_done(), "replica stalled at {}", c.received_len());
@@ -61,7 +61,7 @@ fn replicated_client_queries_unreplicated_backend() {
         assert_eq!(s.served, 2_000_000);
     });
     // The secondary really diverted its copy of the request stream.
-    let sstats = tb.secondary_stats();
+    let sstats = tb.secondary_stats(1);
     assert!(sstats.egress_diverted > 0);
 }
 
@@ -69,17 +69,17 @@ fn replicated_client_queries_unreplicated_backend() {
 fn backend_connection_survives_primary_failure() {
     let mut tb = backend_testbed(32);
     tb.run_for(SimDuration::from_millis(60));
-    let before = tb.sim.with::<Host, _>(tb.secondary.unwrap(), |h, _| {
+    let before = tb.sim.with::<Host, _>(tb.replicas[1], |h, _| {
         h.app_mut::<RequestReplyClient>(0).received_len()
     });
     assert!(
         before < 2_000_000,
         "kill must land mid-transfer (got {before})"
     );
-    tb.kill_primary();
+    tb.kill_replica(0);
     tb.run_for(SimDuration::from_secs(20));
     // The surviving replica's back-end session completed intact.
-    tb.sim.with::<Host, _>(tb.secondary.unwrap(), |h, _| {
+    tb.sim.with::<Host, _>(tb.replicas[1], |h, _| {
         let c = h.app_mut::<RequestReplyClient>(0);
         assert!(c.is_done(), "stalled at {}", c.received_len());
         assert_eq!(c.mismatches, 0);
@@ -89,5 +89,18 @@ fn backend_connection_survives_primary_failure() {
     tb.sim.with::<Host, _>(t, |h, _| {
         assert_eq!(h.app_mut::<SourceServer>(0).requests, 1);
         assert_eq!(h.stack().rst_sent, 0, "backend reset a connection");
+    });
+}
+
+/// T sits at 10.0.0.4, which a third replica would also take: the
+/// testbed refuses the combination instead of wiring two hosts to one
+/// address.
+#[test]
+#[should_panic(expected = "with_backend puts T at 10.0.0.4, the address of replica 2")]
+fn backend_refuses_a_third_replica() {
+    Testbed::new(TestbedConfig {
+        with_backend: true,
+        replicas: 3,
+        ..TestbedConfig::default()
     });
 }

@@ -5,24 +5,23 @@
 //! session survives a head failure.
 
 use tcp_failover::apps::ftp::{FtpClient, FtpOp, FtpServer, FTP_CTRL_PORT, FTP_DATA_PORT};
-use tcp_failover::core::chain_testbed::{ChainConfig, ChainTestbed};
-use tcp_failover::core::testbed::addrs;
+use tcp_failover::core::testbed::{addrs, Testbed, TestbedConfig};
 use tcp_failover::net::time::SimDuration;
 use tcp_failover::tcp::host::Host;
 use tcp_failover::tcp::types::SocketAddr;
 
-fn ftp_chain(replicas: usize, seed: u64) -> ChainTestbed {
-    let mut tb = ChainTestbed::new(ChainConfig {
+fn ftp_chain(replicas: usize, seed: u64) -> Testbed {
+    let mut tb = Testbed::new(TestbedConfig {
         replicas,
         seed,
         failover_ports: vec![FTP_CTRL_PORT, FTP_DATA_PORT],
-        ..ChainConfig::default()
+        ..TestbedConfig::default()
     });
     tb.install_servers(FtpServer::new);
     tb
 }
 
-fn run_session(tb: &mut ChainTestbed, script: Vec<FtpOp>, secs: u64) {
+fn run_session(tb: &mut Testbed, script: Vec<FtpOp>, secs: u64) {
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(FtpClient::new(
             SocketAddr::new(addrs::A_P, FTP_CTRL_PORT),

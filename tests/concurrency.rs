@@ -11,23 +11,10 @@ use tcp_failover::net::time::SimDuration;
 use tcp_failover::tcp::host::Host;
 use tcp_failover::tcp::types::SocketAddr;
 
-macro_rules! replicate {
-    ($tb:expr, $mk:expr) => {{
-        let tb: &mut Testbed = $tb;
-        tb.sim.with::<Host, _>(tb.primary, |h, _| {
-            h.add_app(Box::new($mk));
-        });
-        let s = tb.secondary.expect("replicated testbed");
-        tb.sim.with::<Host, _>(s, |h, _| {
-            h.add_app(Box::new($mk));
-        });
-    }};
-}
-
 #[test]
 fn ten_concurrent_downloads() {
     let mut tb = Testbed::new(TestbedConfig::default());
-    replicate!(&mut tb, SourceServer::new(80));
+    tb.install_servers(|| SourceServer::new(80));
     let sizes: Vec<u64> = (0..10).map(|i| 20_000 + i * 13_000).collect();
     for &n in &sizes {
         tb.sim.with::<Host, _>(tb.client, |h, _| {
@@ -50,7 +37,7 @@ fn ten_concurrent_downloads() {
             assert_eq!(c.mismatches, 0, "conn {i} corrupted");
         });
     }
-    let stats = tb.primary_stats();
+    let stats = tb.primary_stats(0);
     assert_eq!(stats.mismatched_bytes, 0);
     assert!(stats.merged_bytes >= sizes.iter().sum::<u64>());
 }
@@ -61,8 +48,8 @@ fn mixed_uploads_and_downloads() {
         failover_ports: vec![80, 81],
         ..TestbedConfig::default()
     });
-    replicate!(&mut tb, SourceServer::new(80));
-    replicate!(&mut tb, SinkServer::new(81));
+    tb.install_servers(|| SourceServer::new(80));
+    tb.install_servers(|| SinkServer::new(81));
     for i in 0..4u64 {
         tb.sim.with::<Host, _>(tb.client, |h, _| {
             h.add_app(Box::new(RequestReplyClient::new(
@@ -98,7 +85,7 @@ fn failover_with_mixed_connection_states() {
     // Connections in different phases when the primary dies: one
     // finished, several mid-flight, one opened after the failover.
     let mut tb = Testbed::new(TestbedConfig::default());
-    replicate!(&mut tb, SourceServer::new(80));
+    tb.install_servers(|| SourceServer::new(80));
     // Finished before the kill.
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(RequestReplyClient::new(
@@ -119,7 +106,7 @@ fn failover_with_mixed_connection_states() {
         });
     }
     tb.run_for(SimDuration::from_millis(120));
-    tb.kill_primary();
+    tb.kill_replica(0);
     tb.run_for(SimDuration::from_secs(2));
     // Opened after the takeover.
     tb.sim.with::<Host, _>(tb.client, |h, _| {
@@ -142,7 +129,7 @@ fn failover_with_mixed_connection_states() {
 #[test]
 fn bridge_state_scales_and_cleans_up() {
     let mut tb = Testbed::new(TestbedConfig::default());
-    replicate!(&mut tb, SourceServer::new(80));
+    tb.install_servers(|| SourceServer::new(80));
     for _ in 0..20 {
         tb.sim.with::<Host, _>(tb.client, |h, _| {
             h.add_app(Box::new(RequestReplyClient::new(
@@ -159,7 +146,7 @@ fn bridge_state_scales_and_cleans_up() {
             assert!(h.app_mut::<RequestReplyClient>(i).is_done(), "conn {i}");
         });
     }
-    let conns = tb.sim.with::<Host, _>(tb.primary, |h, _| {
+    let conns = tb.sim.with::<Host, _>(tb.replicas[0], |h, _| {
         h.filter_mut()
             .as_any_mut()
             .downcast_mut::<ChainBridge>()
@@ -167,6 +154,6 @@ fn bridge_state_scales_and_cleans_up() {
             .conn_count()
     });
     assert_eq!(conns, 0, "bridge leaked state across 20 connections");
-    let stats = tb.primary_stats();
+    let stats = tb.primary_stats(0);
     assert_eq!(stats.conns_closed, 20);
 }

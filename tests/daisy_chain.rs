@@ -7,9 +7,8 @@ use tcp_failover::apps::chain_ops;
 use tcp_failover::apps::driver::{BulkSendClient, RequestReplyClient};
 use tcp_failover::apps::store::{StoreClient, StoreServer};
 use tcp_failover::apps::stream::{SinkServer, SourceServer};
-use tcp_failover::core::chain_testbed::{ChainConfig, ChainTestbed};
 use tcp_failover::core::reprovision::ReprovisionPhase;
-use tcp_failover::core::testbed::addrs;
+use tcp_failover::core::testbed::{addrs, Testbed, TestbedConfig};
 use tcp_failover::core::ChainBridge;
 use tcp_failover::net::time::SimDuration;
 use tcp_failover::tcp::host::Host;
@@ -22,18 +21,18 @@ fn vip(port: u16) -> SocketAddr {
 
 /// A depth-`replicas` chain with the invariant auditor and health
 /// observatory attached to every bridge — the PR9 "observed" setup.
-fn observed_config(replicas: usize, seed: u64) -> ChainConfig {
-    ChainConfig {
+fn observed_config(replicas: usize, seed: u64) -> TestbedConfig {
+    TestbedConfig {
         replicas,
         seed,
         audit: Some(true),
         health: Some(true),
-        ..ChainConfig::default()
+        ..TestbedConfig::default()
     }
 }
 
-fn download_testbed_with(config: ChainConfig, total: u64) -> ChainTestbed {
-    let mut tb = ChainTestbed::new(config);
+fn download_testbed_with(config: TestbedConfig, total: u64) -> Testbed {
+    let mut tb = Testbed::new(config);
     tb.install_servers(|| SourceServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(RequestReplyClient::new(
@@ -45,11 +44,11 @@ fn download_testbed_with(config: ChainConfig, total: u64) -> ChainTestbed {
     tb
 }
 
-fn download_testbed(replicas: usize, total: u64, seed: u64) -> ChainTestbed {
-    let mut tb = ChainTestbed::new(ChainConfig {
+fn download_testbed(replicas: usize, total: u64, seed: u64) -> Testbed {
+    let mut tb = Testbed::new(TestbedConfig {
         replicas,
         seed,
-        ..ChainConfig::default()
+        ..TestbedConfig::default()
     });
     tb.install_servers(|| SourceServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
@@ -62,7 +61,7 @@ fn download_testbed(replicas: usize, total: u64, seed: u64) -> ChainTestbed {
     tb
 }
 
-fn assert_download_done(tb: &mut ChainTestbed, total: u64) {
+fn assert_download_done(tb: &mut Testbed, total: u64) {
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         let c = h.app_mut::<RequestReplyClient>(0);
         assert!(
@@ -165,10 +164,10 @@ fn sequential_failures_down_to_one() {
 
 #[test]
 fn chain_upload_acked_only_when_all_replicas_have_it() {
-    let mut tb = ChainTestbed::new(ChainConfig {
+    let mut tb = Testbed::new(TestbedConfig {
         replicas: 3,
         seed: 7,
-        ..ChainConfig::default()
+        ..TestbedConfig::default()
     });
     tb.install_servers(|| SinkServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
@@ -189,10 +188,10 @@ fn chain_upload_acked_only_when_all_replicas_have_it() {
 
 #[test]
 fn chain_store_session_survives_head_failure() {
-    let mut tb = ChainTestbed::new(ChainConfig {
+    let mut tb = Testbed::new(TestbedConfig {
         replicas: 3,
         seed: 8,
-        ..ChainConfig::default()
+        ..TestbedConfig::default()
     });
     tb.install_servers(|| StoreServer::new(80));
     let mut script: Vec<String> = Vec::new();
@@ -308,6 +307,45 @@ fn reprovision_restores_redundancy_after_head_failure() {
 }
 
 #[test]
+fn three_standbys_in_a_row_restore_redundancy() {
+    // Three rounds of head failure + tail reprovisioning: the segment
+    // grows a port per standby, so the chain can be rebuilt as often
+    // as it fails. The first round lands mid-transfer; after the third
+    // the chain is made of standbys only and serves a fresh download.
+    let mut tb = download_testbed_with(observed_config(3, 14), 4_000_000);
+    tb.run_for(SimDuration::from_millis(200));
+    for round in 0..3 {
+        let head = (0..tb.replicas.len()).find(|&i| !tb.dead[i]).unwrap();
+        tb.kill_replica(head);
+        tb.run_for(SimDuration::from_millis(300));
+        let standby = chain_ops::reprovision_tail(&mut tb);
+        assert_eq!(standby, 3 + round, "standby appended at the end");
+        assert!(
+            tb.run_until_restored(SimDuration::from_millis(10), SimDuration::from_secs(30)),
+            "round {round}: catch-up never drained (lag {})",
+            tb.catchup_lag()
+        );
+    }
+    assert_eq!(tb.dead, [true, true, true, false, false, false]);
+    assert_download_done(&mut tb, 4_000_000);
+
+    tb.sim.with::<Host, _>(tb.client, |h, _| {
+        h.add_app(Box::new(RequestReplyClient::new(
+            vip(80),
+            b"SEND 1000000\n".to_vec(),
+            1_000_000,
+        )));
+    });
+    tb.run_for(SimDuration::from_secs(10));
+    tb.sim.with::<Host, _>(tb.client, |h, _| {
+        let c = h.app_mut::<RequestReplyClient>(1);
+        assert!(c.is_done(), "rebuilt chain stalled at {}", c.received_len());
+        assert_eq!(c.mismatches, 0, "rebuilt chain corrupted the stream");
+    });
+    assert_eq!(tb.audit_violations(), 0, "auditor fired across rounds");
+}
+
+#[test]
 fn failure_during_reprovision_catchup_degrades_gracefully() {
     // The converted middle (the old tail) dies while the standby is
     // still catching up: the chain heals around it (§6 degradation)
@@ -341,11 +379,11 @@ fn killed_replicas_audit_evidence_still_counts() {
     // A killed node's bridge state stays readable, so the testbed's
     // violation count must not drop when the replica that recorded the
     // violations dies.
-    let mut tb = ChainTestbed::new(ChainConfig {
+    let mut tb = Testbed::new(TestbedConfig {
         replicas: 3,
         seed: 14,
         audit: Some(false),
-        ..ChainConfig::default()
+        ..TestbedConfig::default()
     });
     tb.install_servers(|| SinkServer::new(80));
     let dir = std::env::temp_dir().join(format!("tcpfo-chain-audit-{}", std::process::id()));

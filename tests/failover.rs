@@ -18,19 +18,6 @@ fn server_addr(port: u16) -> SocketAddr {
     SocketAddr::new(addrs::A_P, port)
 }
 
-macro_rules! replicate {
-    ($tb:expr, $mk:expr) => {{
-        let tb: &mut Testbed = $tb;
-        tb.sim.with::<Host, _>(tb.primary, |h, _| {
-            h.add_app(Box::new($mk));
-        });
-        let s = tb.secondary.expect("replicated testbed");
-        tb.sim.with::<Host, _>(s, |h, _| {
-            h.add_app(Box::new($mk));
-        });
-    }};
-}
-
 /// §5: kill the primary mid-download; the secondary takes over the
 /// primary's IP and finishes the transfer; the client's byte stream is
 /// intact.
@@ -41,7 +28,7 @@ fn primary_fails_mid_download() {
     // the ring, so a long run cannot exhaust memory).
     tb.sim.set_trace_enabled(true);
     tb.sim.set_trace_capacity(4_096);
-    replicate!(&mut tb, SourceServer::new(80));
+    tb.install_servers(|| SourceServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(RequestReplyClient::new(
             server_addr(80),
@@ -58,7 +45,7 @@ fn primary_fails_mid_download() {
         before > 0 && before < 2_000_000,
         "failover must hit mid-transfer, got {before}"
     );
-    tb.kill_primary();
+    tb.kill_replica(0);
     tb.run_for(SimDuration::from_secs(20));
 
     // Headline assertions go through `tb.expect`, which dumps the
@@ -71,8 +58,8 @@ fn primary_fails_mid_download() {
     tb.expect(done, &format!("transfer died at {received} bytes"));
     tb.expect(mismatches == 0, "stream corrupted across failover");
     // The secondary detected the failure and took over.
-    let s = tb.secondary.unwrap();
-    let detected = tb.failover_detected_at(s);
+    let s = tb.replicas[1];
+    let detected = tb.failover_detected_at(1);
     tb.expect(detected.is_some(), "fault detector never fired");
     let (promiscuous, owns_a_p) = tb.sim.with::<Host, _>(s, |h, _| {
         (
@@ -102,7 +89,7 @@ fn conn_socket(h: &Host) -> &Socket {
 #[test]
 fn takeover_restarts_download_immediately() {
     let mut tb = Testbed::new(TestbedConfig::default());
-    replicate!(&mut tb, SourceServer::new(80));
+    tb.install_servers(|| SourceServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(RequestReplyClient::new(
             server_addr(80),
@@ -111,8 +98,8 @@ fn takeover_restarts_download_immediately() {
         )));
     });
     tb.run_for(SimDuration::from_millis(120));
-    tb.kill_primary();
-    let s = tb.secondary.unwrap();
+    tb.kill_replica(0);
+    let s = tb.replicas[1];
     // Step 1 ms at a time up to the tick that commits the takeover.
     let (s_expiries, s_una, client_rcv) = loop {
         let before = (
@@ -123,7 +110,7 @@ fn takeover_restarts_download_immediately() {
                 .with::<Host, _>(tb.client, |h, _| conn_socket(h).rcv_nxt()),
         );
         tb.run_for(SimDuration::from_millis(1));
-        if tb.failover_detected_at(s).is_some() {
+        if tb.failover_detected_at(1).is_some() {
             break before;
         }
         assert!(
@@ -158,7 +145,7 @@ fn takeover_restarts_download_immediately() {
     });
     tb.expect(done, &format!("transfer died at {received} bytes"));
     tb.expect(mismatches == 0, "stream corrupted across failover");
-    let m = tb.telemetry.timeline.mttr().expect("complete §5 timeline");
+    let m = tb.hubs[1].timeline.mttr().expect("complete §5 timeline");
     tb.expect(
         m.first_byte_ns <= 1_000_000,
         &format!(
@@ -177,14 +164,14 @@ fn primary_fails_mid_upload() {
     let mut tb = Testbed::new(TestbedConfig::default());
     tb.sim.set_trace_enabled(true);
     tb.sim.set_trace_capacity(4_096);
-    replicate!(&mut tb, SinkServer::new(80));
+    tb.install_servers(|| SinkServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(BulkSendClient::new(server_addr(80), 2_000_000)));
     });
     tb.run_for(SimDuration::from_millis(120));
-    tb.kill_primary();
+    tb.kill_replica(0);
     let killed_at = tb.sim.now();
-    let s = tb.secondary.unwrap();
+    let s = tb.replicas[1];
     let sink = |tb: &mut Testbed| {
         tb.sim
             .with::<Host, _>(s, |h, _| h.app_mut::<SinkServer>(0).received)
@@ -221,7 +208,7 @@ fn primary_fails_mid_upload() {
         client_rtos == 0,
         &format!("client hit {client_rtos} retransmission timeouts"),
     );
-    let detection = tb.failover_detected_at(s).expect("takeover") - killed_at;
+    let detection = tb.failover_detected_at(1).expect("takeover") - killed_at;
     tb.expect(
         longest_gap <= detection + SimDuration::from_millis(5),
         &format!("secondary intake stalled {longest_gap:?} (detection {detection:?})"),
@@ -233,7 +220,7 @@ fn primary_fails_mid_upload() {
 #[test]
 fn primary_fails_mid_store_session() {
     let mut tb = Testbed::new(TestbedConfig::default());
-    replicate!(&mut tb, StoreServer::new(80));
+    tb.install_servers(|| StoreServer::new(80));
     let mut script: Vec<String> = Vec::new();
     for i in 0..40 {
         script.push(format!("BROWSE item{i}"));
@@ -245,7 +232,7 @@ fn primary_fails_mid_store_session() {
         h.add_app(Box::new(StoreClient::new(server_addr(80), script)));
     });
     tb.run_for(SimDuration::from_millis(40));
-    tb.kill_primary();
+    tb.kill_replica(0);
     tb.run_for(SimDuration::from_secs(20));
 
     tb.sim.with::<Host, _>(tb.client, |h, _| {
@@ -257,7 +244,7 @@ fn primary_fails_mid_store_session() {
         );
         assert_eq!(c.mismatches, 0, "post-failover replies diverged");
     });
-    tb.sim.with::<Host, _>(tb.secondary.unwrap(), |h, _| {
+    tb.sim.with::<Host, _>(tb.replicas[1], |h, _| {
         assert_eq!(h.app_mut::<StoreServer>(0).commands, expected_cmds);
     });
 }
@@ -270,7 +257,7 @@ fn secondary_fails_mid_download() {
     let mut tb = Testbed::new(TestbedConfig::default());
     tb.sim.set_trace_enabled(true);
     tb.sim.set_trace_capacity(4_096);
-    replicate!(&mut tb, SourceServer::new(80));
+    tb.install_servers(|| SourceServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(RequestReplyClient::new(
             server_addr(80),
@@ -279,7 +266,7 @@ fn secondary_fails_mid_download() {
         )));
     });
     tb.run_for(SimDuration::from_millis(120));
-    tb.kill_secondary();
+    tb.kill_replica(1);
     tb.run_for(SimDuration::from_secs(20));
 
     let (done, received, mismatches) = tb.sim.with::<Host, _>(tb.client, |h, _| {
@@ -288,10 +275,10 @@ fn secondary_fails_mid_download() {
     });
     tb.expect(done, &format!("transfer died at {received} bytes"));
     tb.expect(mismatches == 0, "Δseq compensation broke the stream");
-    let detected = tb.failover_detected_at(tb.primary);
+    let detected = tb.failover_detected_at(0);
     tb.expect(detected.is_some(), "primary never noticed");
     assert_eq!(
-        tb.sim.with::<Host, _>(tb.primary, |h, _| {
+        tb.sim.with::<Host, _>(tb.replicas[0], |h, _| {
             h.filter_mut()
                 .as_any_mut()
                 .downcast_mut::<ChainBridge>()
@@ -307,12 +294,12 @@ fn secondary_fails_mid_download() {
 #[test]
 fn secondary_fails_mid_upload() {
     let mut tb = Testbed::new(TestbedConfig::default());
-    replicate!(&mut tb, SinkServer::new(80));
+    tb.install_servers(|| SinkServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(BulkSendClient::new(server_addr(80), 2_000_000)));
     });
     tb.run_for(SimDuration::from_millis(120));
-    tb.kill_secondary();
+    tb.kill_replica(1);
     tb.run_for(SimDuration::from_secs(20));
 
     let done = tb
@@ -321,7 +308,7 @@ fn secondary_fails_mid_upload() {
     assert!(done, "upload did not finish after secondary failure");
     let p_received = tb
         .sim
-        .with::<Host, _>(tb.primary, |h, _| h.app_mut::<SinkServer>(0).received);
+        .with::<Host, _>(tb.replicas[0], |h, _| h.app_mut::<SinkServer>(0).received);
     assert_eq!(p_received, 2_000_000);
 }
 
@@ -330,9 +317,9 @@ fn secondary_fails_mid_upload() {
 #[test]
 fn connection_opened_after_takeover() {
     let mut tb = Testbed::new(TestbedConfig::default());
-    replicate!(&mut tb, SourceServer::new(80));
+    tb.install_servers(|| SourceServer::new(80));
     tb.run_for(SimDuration::from_millis(20));
-    tb.kill_primary();
+    tb.kill_replica(0);
     // Wait out detection + takeover.
     tb.run_for(SimDuration::from_millis(500));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
@@ -354,13 +341,13 @@ fn connection_opened_after_takeover() {
 #[test]
 fn detection_latency_tracks_timeout() {
     let mut tb = Testbed::new(TestbedConfig::default());
-    replicate!(&mut tb, SinkServer::new(80));
+    tb.install_servers(|| SinkServer::new(80));
     tb.run_for(SimDuration::from_millis(100));
     let kill_time = tb.sim.now();
-    tb.kill_primary();
+    tb.kill_replica(0);
     tb.run_for(SimDuration::from_secs(1));
-    let s = tb.secondary.unwrap();
-    let detected = tb.failover_detected_at(s).expect("detected");
+    let s = tb.replicas[1];
+    let detected = tb.failover_detected_at(1).expect("detected");
     let latency = detected.duration_since(kill_time);
     let timeout = tb.config.detector.timeout;
     assert!(latency >= timeout, "detected before timeout: {latency}");
@@ -392,7 +379,7 @@ fn detector_testbed(detector: DetectorConfig) -> Testbed {
 fn detector_heartbeats_flow_both_ways() {
     let mut tb = detector_testbed(DetectorConfig::default());
     tb.run_for(SimDuration::from_millis(100));
-    for node in [tb.primary, tb.secondary.unwrap()] {
+    for node in [tb.replicas[0], tb.replicas[1]] {
         tb.sim.with::<Host, _>(node, |h, _| {
             let c = h.controller_mut::<ChainController>();
             assert!(c.heartbeats_sent >= 9, "sent {}", c.heartbeats_sent);
@@ -413,7 +400,7 @@ fn detector_no_false_positives_over_long_idle() {
         timeout: SimDuration::from_millis(20),
     });
     tb.run_for(SimDuration::from_secs(30));
-    for node in [tb.primary, tb.secondary.unwrap()] {
+    for node in [tb.replicas[0], tb.replicas[1]] {
         tb.sim.with::<Host, _>(node, |h, _| {
             assert!(
                 h.controller_mut::<ChainController>().peer_dead_at.is_none(),
@@ -427,9 +414,9 @@ fn detector_no_false_positives_over_long_idle() {
 fn detector_secondary_detects_and_takes_over() {
     let mut tb = detector_testbed(DetectorConfig::default());
     tb.run_for(SimDuration::from_millis(50));
-    tb.kill_primary();
+    tb.kill_replica(0);
     tb.run_for(SimDuration::from_millis(300));
-    let s = tb.secondary.unwrap();
+    let s = tb.replicas[1];
     tb.sim.with::<Host, _>(s, |h, _| {
         let own_promisc = h.net_mut().promiscuous;
         let has_vip = h.net_mut().local_ips.contains(&addrs::A_P);
@@ -446,9 +433,9 @@ fn detector_secondary_detects_and_takes_over() {
 fn detector_primary_detects_and_degrades() {
     let mut tb = detector_testbed(DetectorConfig::default());
     tb.run_for(SimDuration::from_millis(50));
-    tb.kill_secondary();
+    tb.kill_replica(1);
     tb.run_for(SimDuration::from_millis(300));
-    tb.sim.with::<Host, _>(tb.primary, |h, _| {
+    tb.sim.with::<Host, _>(tb.replicas[0], |h, _| {
         let mode = h
             .filter_mut()
             .as_any_mut()
@@ -467,9 +454,9 @@ fn detector_takeover_runs_once() {
     tb.run_for(SimDuration::from_millis(20));
     // Detection keeps ticking long after the kill; the takeover must
     // still have run exactly once.
-    tb.kill_primary();
+    tb.kill_replica(0);
     tb.run_for(SimDuration::from_secs(1));
-    let s = tb.secondary.unwrap();
+    let s = tb.replicas[1];
     tb.sim.with::<Host, _>(s, |h, _| {
         let vip_count = h
             .net_mut()
@@ -514,9 +501,9 @@ fn detector_late_heartbeat_after_takeover_commit_is_not_liveness() {
         ..TestbedConfig::default()
     });
     tb.run_for(SimDuration::from_millis(50));
-    tb.kill_primary();
+    tb.kill_replica(0);
     tb.run_for(SimDuration::from_millis(300));
-    let s = tb.secondary.unwrap();
+    let s = tb.replicas[1];
     let (received_before, failed_at) = tb.sim.with::<Host, _>(s, |h, _| {
         let c = h.controller_mut::<ChainController>();
         (c.heartbeats_received, c.peer_dead_at)
@@ -564,24 +551,23 @@ fn detector_jitter_only_degradation_warns_without_firing() {
     // Clean baseline: the secondary should score the primary
     // near-perfect.
     tb.run_for(SimDuration::from_millis(200));
-    let s = tb.secondary.unwrap();
     let baseline = tb
-        .with_health_monitor(s, |m| m.score().total)
+        .with_health_monitor(1, |m| m.score().total)
         .expect("monitor attached");
     assert!(baseline >= 90, "clean baseline scored {baseline}");
     // Degrade the primary's attachment with jitter only: no loss, no
     // silence — heartbeats keep flowing, just erratically. At 25ms of
     // per-frame jitter the worst inter-arrival gap is ~interval +
     // jitter = 35ms, safely inside the 50ms timeout.
-    let primary = tb.primary;
+    let primary = tb.replicas[0];
     tb.reshape_links(primary, |p| p.with_jitter(SimDuration::from_millis(25)));
     tb.run_for(SimDuration::from_secs(2));
     assert!(
-        tb.failover_detected_at(s).is_none(),
+        tb.failover_detected_at(1).is_none(),
         "jitter alone must not fire the binary detector"
     );
     let (score, warned) = tb
-        .with_health_monitor(s, |m| (m.score(), m.first_warn_at().is_some()))
+        .with_health_monitor(1, |m| (m.score(), m.first_warn_at().is_some()))
         .expect("monitor attached");
     assert!(
         score.total < 70,
@@ -602,10 +588,9 @@ fn detector_detection_latency_bounded_by_timeout_plus_interval() {
         });
         tb.run_for(SimDuration::from_millis(40));
         let killed = tb.sim.now();
-        tb.kill_primary();
+        tb.kill_replica(0);
         tb.run_for(SimDuration::from_secs(2));
-        let s = tb.secondary.unwrap();
-        let detected = tb.failover_detected_at(s).expect("fired");
+        let detected = tb.failover_detected_at(1).expect("fired");
         let lat = detected.duration_since(killed).as_millis();
         let interval_ms = timeout_ms / 4;
         // The last heartbeat may have landed up to one interval before

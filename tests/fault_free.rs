@@ -14,24 +14,10 @@ fn server_addr(port: u16) -> SocketAddr {
     SocketAddr::new(addrs::A_P, port)
 }
 
-/// Installs the same app on both replicas (active replication).
-macro_rules! replicate {
-    ($tb:expr, $mk:expr) => {{
-        let tb: &mut Testbed = $tb;
-        tb.sim.with::<Host, _>(tb.primary, |h, _| {
-            h.add_app(Box::new($mk));
-        });
-        let s = tb.secondary.expect("replicated testbed");
-        tb.sim.with::<Host, _>(s, |h, _| {
-            h.add_app(Box::new($mk));
-        });
-    }};
-}
-
 #[test]
 fn client_to_server_stream_is_acked_by_both() {
     let mut tb = Testbed::new(TestbedConfig::default());
-    replicate!(&mut tb, SinkServer::new(80));
+    tb.install_servers(|| SinkServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(BulkSendClient::new(server_addr(80), 100_000)));
     });
@@ -44,14 +30,14 @@ fn client_to_server_stream_is_acked_by_both() {
     // Both replicas consumed the whole stream.
     let p_received = tb
         .sim
-        .with::<Host, _>(tb.primary, |h, _| h.app_mut::<SinkServer>(0).received);
-    let s_received = tb.sim.with::<Host, _>(tb.secondary.unwrap(), |h, _| {
-        h.app_mut::<SinkServer>(0).received
-    });
+        .with::<Host, _>(tb.replicas[0], |h, _| h.app_mut::<SinkServer>(0).received);
+    let s_received = tb
+        .sim
+        .with::<Host, _>(tb.replicas[1], |h, _| h.app_mut::<SinkServer>(0).received);
     assert_eq!(p_received, 100_000, "primary saw the full stream");
     assert_eq!(s_received, 100_000, "secondary snooped the full stream");
     // The secondary's acks were diverted to the primary.
-    let sstats = tb.secondary_stats();
+    let sstats = tb.secondary_stats(1);
     assert!(sstats.ingress_translated > 0);
     assert!(sstats.egress_diverted > 0);
 }
@@ -59,7 +45,7 @@ fn client_to_server_stream_is_acked_by_both() {
 #[test]
 fn server_to_client_stream_is_merged() {
     let mut tb = Testbed::new(TestbedConfig::default());
-    replicate!(&mut tb, SourceServer::new(80));
+    tb.install_servers(|| SourceServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(RequestReplyClient::new(
             server_addr(80),
@@ -74,12 +60,12 @@ fn server_to_client_stream_is_merged() {
         assert!(c.is_done(), "reply incomplete: {} bytes", c.received_len());
         assert_eq!(c.mismatches, 0, "merged stream corrupted");
     });
-    let pstats = tb.primary_stats();
+    let pstats = tb.primary_stats(0);
     assert!(pstats.merged_bytes >= 100_000, "stats: {pstats:?}");
     assert_eq!(pstats.mismatched_bytes, 0, "replicas diverged");
     // No stack ever saw a bad checksum (validates every incremental
     // checksum patch on the path).
-    for node in [tb.client, tb.primary, tb.secondary.unwrap()] {
+    for node in [tb.client, tb.replicas[0], tb.replicas[1]] {
         tb.sim.with::<Host, _>(node, |h, _| {
             assert_eq!(h.stack().checksum_drops, 0, "checksum drops on {}", h.ip());
         });
@@ -89,7 +75,7 @@ fn server_to_client_stream_is_merged() {
 #[test]
 fn store_session_via_replicated_server() {
     let mut tb = Testbed::new(TestbedConfig::default());
-    replicate!(&mut tb, StoreServer::new(80));
+    tb.install_servers(|| StoreServer::new(80));
     let script: Vec<String> = vec![
         "BROWSE widget".into(),
         "BUY widget 2".into(),
@@ -108,7 +94,7 @@ fn store_session_via_replicated_server() {
         assert_eq!(c.mismatches, 0, "replies: {:?}", c.replies);
     });
     // Both replicas executed every command.
-    for node in [tb.primary, tb.secondary.unwrap()] {
+    for node in [tb.replicas[0], tb.replicas[1]] {
         tb.sim.with::<Host, _>(node, |h, _| {
             assert_eq!(h.app_mut::<StoreServer>(0).commands, 5);
         });

@@ -24,25 +24,12 @@ fn server_addr(port: u16) -> SocketAddr {
     SocketAddr::new(addrs::A_P, port)
 }
 
-macro_rules! replicate {
-    ($tb:expr, $mk:expr) => {{
-        let tb: &mut Testbed = $tb;
-        tb.sim.with::<Host, _>(tb.primary, |h, _| {
-            h.add_app(Box::new($mk));
-        });
-        let s = tb.secondary.expect("replicated testbed");
-        tb.sim.with::<Host, _>(s, |h, _| {
-            h.add_app(Box::new($mk));
-        });
-    }};
-}
-
 /// Runs an N-byte download and an N-byte upload through a lossy
 /// configuration and checks end-to-end integrity.
 fn both_directions_survive(config: TestbedConfig, n: u64, deadline: SimDuration) {
     // Download.
     let mut tb = Testbed::new(config.clone());
-    replicate!(&mut tb, SourceServer::new(80));
+    tb.install_servers(|| SourceServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(RequestReplyClient::new(
             server_addr(80),
@@ -60,12 +47,12 @@ fn both_directions_survive(config: TestbedConfig, n: u64, deadline: SimDuration)
         );
         assert_eq!(c.mismatches, 0, "download corrupted");
     });
-    let pstats = tb.primary_stats();
+    let pstats = tb.primary_stats(0);
     assert_eq!(pstats.mismatched_bytes, 0);
 
     // Upload.
     let mut tb = Testbed::new(config);
-    replicate!(&mut tb, SinkServer::new(80));
+    tb.install_servers(|| SinkServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(BulkSendClient::new(server_addr(80), n)));
     });
@@ -74,7 +61,7 @@ fn both_directions_survive(config: TestbedConfig, n: u64, deadline: SimDuration)
         .sim
         .with::<Host, _>(tb.client, |h, _| h.app_mut::<BulkSendClient>(0).is_done());
     assert!(done, "upload stalled");
-    for node in [tb.primary, tb.secondary.unwrap()] {
+    for node in [tb.replicas[0], tb.replicas[1]] {
         let got = tb
             .sim
             .with::<Host, _>(node, |h, _| h.app_mut::<SinkServer>(0).received);
@@ -173,7 +160,7 @@ fn bridge_forwards_retransmissions() {
         seed: 12,
         ..TestbedConfig::default()
     });
-    replicate!(&mut tb, SourceServer::new(80));
+    tb.install_servers(|| SourceServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(RequestReplyClient::new(
             server_addr(80),
@@ -187,7 +174,7 @@ fn bridge_forwards_retransmissions() {
         assert!(c.is_done());
         assert_eq!(c.mismatches, 0);
     });
-    let stats = tb.primary_stats();
+    let stats = tb.primary_stats(0);
     assert!(
         stats.retransmissions_forwarded > 0,
         "expected forwarded retransmissions, stats: {stats:?}"

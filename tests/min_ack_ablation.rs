@@ -28,13 +28,9 @@ fn run(unsafe_ack: bool, seed: u64) -> (bool, u64) {
         loss_to_secondary: 0.05,
         ..TestbedConfig::default()
     });
-    for node in [tb.primary, tb.secondary.unwrap()] {
-        tb.sim.with::<Host, _>(node, |h, _| {
-            h.add_app(Box::new(SinkServer::new(80)));
-        });
-    }
+    tb.install_servers(|| SinkServer::new(80));
     if unsafe_ack {
-        tb.sim.with::<Host, _>(tb.primary, |h, _| {
+        tb.sim.with::<Host, _>(tb.replicas[0], |h, _| {
             let bridge = h
                 .filter_mut()
                 .as_any_mut()
@@ -55,14 +51,14 @@ fn run(unsafe_ack: bool, seed: u64) -> (bool, u64) {
         )));
     });
     tb.run_for(SimDuration::from_millis(250));
-    tb.kill_primary();
+    tb.kill_replica(0);
     tb.run_for(SimDuration::from_secs(90));
     let done = tb
         .sim
         .with::<Host, _>(tb.client, |h, _| h.app_mut::<BulkSendClient>(0).is_done());
-    let s_received = tb.sim.with::<Host, _>(tb.secondary.unwrap(), |h, _| {
-        h.app_mut::<SinkServer>(0).received
-    });
+    let s_received = tb
+        .sim
+        .with::<Host, _>(tb.replicas[1], |h, _| h.app_mut::<SinkServer>(0).received);
     (done, s_received)
 }
 

@@ -18,10 +18,10 @@ fn upload_time(s_budget: usize, total: u64, seed: u64) -> SimTime {
         seed,
         ..TestbedConfig::default()
     });
-    tb.sim.with::<Host, _>(tb.primary, |h, _| {
+    tb.sim.with::<Host, _>(tb.replicas[0], |h, _| {
         h.add_app(Box::new(SinkServer::new(80)));
     });
-    tb.sim.with::<Host, _>(tb.secondary.unwrap(), |h, _| {
+    tb.sim.with::<Host, _>(tb.replicas[1], |h, _| {
         h.add_app(Box::new(SinkServer::new(80).with_read_budget(s_budget)));
     });
     tb.sim.with::<Host, _>(tb.client, |h, _| {

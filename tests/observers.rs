@@ -6,7 +6,6 @@
 
 use tcp_failover::apps::chain_ops;
 use tcp_failover::apps::stream::SourceServer;
-use tcp_failover::core::chain_testbed::{ChainConfig, ChainTestbed};
 use tcp_failover::core::testbed::{Testbed, TestbedConfig};
 use tcp_failover::net::sim::{NodeId, Simulator};
 use tcp_failover::net::time::SimDuration;
@@ -39,22 +38,22 @@ fn observers_survive_every_rebuild() {
             span_trace: Some(on),
             ..TestbedConfig::default()
         });
-        let s = tb.secondary.unwrap();
-        assert_eq!(carried(&mut tb.sim, tb.primary), all, "pair P");
+        let s = tb.replicas[1];
+        assert_eq!(carried(&mut tb.sim, tb.replicas[0]), all, "pair P");
         assert_eq!(carried(&mut tb.sim, s), tail, "pair S");
         tb.run_for(SimDuration::from_millis(50));
-        tb.kill_secondary();
+        tb.kill_replica(1);
         tb.run_for(SimDuration::from_millis(300));
-        tb.revive_secondary();
+        tb.revive_replica(1);
         assert_eq!(carried(&mut tb.sim, s), tail, "revived S");
 
-        let mut tb = ChainTestbed::new(ChainConfig {
+        let mut tb = Testbed::new(TestbedConfig {
             replicas: 3,
             audit: Some(on),
             latency: Some(on),
             health: Some(on),
             span_trace: Some(on),
-            ..ChainConfig::default()
+            ..TestbedConfig::default()
         });
         tb.install_servers(|| SourceServer::new(80));
         tb.run_for(SimDuration::from_millis(50));

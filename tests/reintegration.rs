@@ -33,7 +33,7 @@ fn assert_done(tb: &mut Testbed, app: usize) {
 }
 
 fn primary_mode(tb: &mut Testbed) -> PrimaryMode {
-    tb.sim.with::<Host, _>(tb.primary, |h, _| {
+    tb.sim.with::<Host, _>(tb.replicas[0], |h, _| {
         h.filter_mut()
             .as_any_mut()
             .downcast_mut::<ChainBridge>()
@@ -46,18 +46,12 @@ fn primary_mode(tb: &mut Testbed) -> PrimaryMode {
 #[test]
 fn secondary_rejoins_and_new_connections_replicate() {
     let mut tb = Testbed::new(TestbedConfig::default());
-    tb.sim.with::<Host, _>(tb.primary, |h, _| {
-        h.add_app(Box::new(SourceServer::new(80)));
-    });
-    let s = tb.secondary.unwrap();
-    tb.sim.with::<Host, _>(s, |h, _| {
-        h.add_app(Box::new(SourceServer::new(80)));
-    });
+    tb.install_servers(|| SourceServer::new(80));
 
     // Connection A starts replicated, then the secondary dies mid-way.
     add_download(&mut tb, 2_000_000); // app 0
     tb.run_for(SimDuration::from_millis(120));
-    tb.kill_secondary();
+    tb.kill_replica(1);
     tb.run_for(SimDuration::from_millis(300));
     assert_eq!(primary_mode(&mut tb), PrimaryMode::SecondaryFailed);
 
@@ -66,13 +60,13 @@ fn secondary_rejoins_and_new_connections_replicate() {
 
     // The secondary reboots; the primary reintegrates on heartbeat.
     tb.run_for(SimDuration::from_millis(200));
-    tb.revive_secondary();
-    tb.sim.with::<Host, _>(s, |h, _| {
+    tb.revive_replica(1);
+    tb.sim.with::<Host, _>(tb.replicas[1], |h, _| {
         h.add_app(Box::new(SourceServer::new(80)));
     });
     tb.run_for(SimDuration::from_millis(200));
     assert_eq!(primary_mode(&mut tb), PrimaryMode::Normal, "reintegrated");
-    tb.sim.with::<Host, _>(tb.primary, |h, _| {
+    tb.sim.with::<Host, _>(tb.replicas[0], |h, _| {
         assert_eq!(h.controller_mut::<ChainController>().rejoins, 1);
     });
 
@@ -83,11 +77,11 @@ fn secondary_rejoins_and_new_connections_replicate() {
         assert_done(&mut tb, app);
     }
     // The revived secondary actually served connection C.
-    tb.sim.with::<Host, _>(s, |h, _| {
+    tb.sim.with::<Host, _>(tb.replicas[1], |h, _| {
         let srv = h.app_mut::<SourceServer>(0);
         assert_eq!(srv.served, 800_000, "revived secondary served C only");
     });
-    let pstats = tb.primary_stats();
+    let pstats = tb.primary_stats(0);
     assert_eq!(pstats.mismatched_bytes, 0);
 }
 
@@ -96,16 +90,12 @@ fn post_rejoin_connections_survive_primary_failure() {
     // The full circle: S dies, rejoins, then P dies — the connection
     // opened after the rejoin fails over to the revived secondary.
     let mut tb = Testbed::new(TestbedConfig::default());
-    for node in [tb.primary, tb.secondary.unwrap()] {
-        tb.sim.with::<Host, _>(node, |h, _| {
-            h.add_app(Box::new(SourceServer::new(80)));
-        });
-    }
+    tb.install_servers(|| SourceServer::new(80));
     tb.run_for(SimDuration::from_millis(50));
-    tb.kill_secondary();
+    tb.kill_replica(1);
     tb.run_for(SimDuration::from_millis(300));
-    tb.revive_secondary();
-    let s = tb.secondary.unwrap();
+    tb.revive_replica(1);
+    let s = tb.replicas[1];
     tb.sim.with::<Host, _>(s, |h, _| {
         h.add_app(Box::new(SourceServer::new(80)));
     });
@@ -114,7 +104,7 @@ fn post_rejoin_connections_survive_primary_failure() {
 
     add_download(&mut tb, 2_000_000);
     tb.run_for(SimDuration::from_millis(120));
-    tb.kill_primary();
+    tb.kill_replica(0);
     tb.run_for(SimDuration::from_secs(25));
     assert_done(&mut tb, 0);
     tb.sim.with::<Host, _>(s, |h, _| {
@@ -130,19 +120,15 @@ fn degraded_epoch_connection_unaffected_by_rejoin() {
     // A connection born while degraded keeps working across the
     // rejoin, served by the primary alone (zero-Δ tombstone).
     let mut tb = Testbed::new(TestbedConfig::default());
-    for node in [tb.primary, tb.secondary.unwrap()] {
-        tb.sim.with::<Host, _>(node, |h, _| {
-            h.add_app(Box::new(SourceServer::new(80)));
-        });
-    }
+    tb.install_servers(|| SourceServer::new(80));
     tb.run_for(SimDuration::from_millis(50));
-    tb.kill_secondary();
+    tb.kill_replica(1);
     tb.run_for(SimDuration::from_millis(300));
     // Born degraded, long enough to straddle the rejoin.
     add_download(&mut tb, 3_000_000);
     tb.run_for(SimDuration::from_millis(150));
-    tb.revive_secondary();
-    let s = tb.secondary.unwrap();
+    tb.revive_replica(1);
+    let s = tb.replicas[1];
     tb.sim.with::<Host, _>(s, |h, _| {
         h.add_app(Box::new(SourceServer::new(80)));
     });
@@ -164,7 +150,7 @@ fn revived_secondary_keeps_flow_table_config() {
         flow_shards: Some(4),
         ..TestbedConfig::default()
     });
-    let s = tb.secondary.unwrap();
+    let s = tb.replicas[1];
     let shards = |tb: &mut Testbed| {
         tb.sim.with::<Host, _>(s, |h, _| {
             h.filter_mut()
@@ -176,9 +162,9 @@ fn revived_secondary_keeps_flow_table_config() {
     };
     assert_eq!(shards(&mut tb), 4);
     tb.run_for(SimDuration::from_millis(50));
-    tb.kill_secondary();
+    tb.kill_replica(1);
     tb.run_for(SimDuration::from_millis(300));
-    tb.revive_secondary();
+    tb.revive_replica(1);
     tb.run_for(SimDuration::from_millis(50));
     assert_eq!(shards(&mut tb), 4, "revived secondary lost flow_shards");
     assert_eq!(primary_mode(&mut tb), PrimaryMode::Normal, "reintegrated");
@@ -199,10 +185,10 @@ fn revived_secondary_arp_cache_is_primed_like_the_original() {
         h.add_app(Box::new(SourceServer::new(BACKEND_PORT)));
     });
     tb.run_for(SimDuration::from_millis(50));
-    tb.kill_secondary();
+    tb.kill_replica(1);
     tb.run_for(SimDuration::from_millis(300));
-    tb.revive_secondary();
-    let s = tb.secondary.unwrap();
+    tb.revive_replica(1);
+    let s = tb.replicas[1];
     tb.sim.set_trace_enabled(true);
     tb.sim.with::<Host, _>(s, |h, _| {
         h.add_app(Box::new(RequestReplyClient::new(

@@ -18,21 +18,8 @@ fn ftp_config() -> TestbedConfig {
     }
 }
 
-macro_rules! replicate {
-    ($tb:expr, $mk:expr) => {{
-        let tb: &mut Testbed = $tb;
-        tb.sim.with::<Host, _>(tb.primary, |h, _| {
-            h.add_app(Box::new($mk));
-        });
-        let s = tb.secondary.expect("replicated testbed");
-        tb.sim.with::<Host, _>(s, |h, _| {
-            h.add_app(Box::new($mk));
-        });
-    }};
-}
-
 fn run_ftp(mut tb: Testbed, script: Vec<FtpOp>, deadline: SimDuration) -> (Testbed, FtpClient) {
-    replicate!(&mut tb, FtpServer::new());
+    tb.install_servers(FtpServer::new);
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(FtpClient::new(
             SocketAddr::new(addrs::A_P, FTP_CTRL_PORT),
@@ -62,7 +49,7 @@ fn ftp_get_via_replicated_server() {
     assert_eq!(client.mismatches, 0);
     // The data connection was truly replicated: the secondary diverted
     // its own copy of the file to the primary.
-    let sstats = tb.secondary_stats();
+    let sstats = tb.secondary_stats(1);
     assert!(sstats.egress_diverted > 50, "stats: {sstats:?}");
 }
 
@@ -75,7 +62,7 @@ fn ftp_put_via_replicated_server() {
     );
     assert!(client.is_done());
     // Both replicas' FTP servers swallowed the full upload.
-    for node in [tb.primary, tb.secondary.unwrap()] {
+    for node in [tb.replicas[0], tb.replicas[1]] {
         tb.sim.with::<Host, _>(node, |h, _| {
             let srv = h.app_mut::<FtpServer>(0);
             assert_eq!(srv.bytes_moved, 80_000, "replica missed upload bytes");
@@ -106,7 +93,7 @@ fn ftp_mixed_session() {
 #[test]
 fn ftp_survives_primary_failure() {
     let mut tb = Testbed::new(ftp_config());
-    replicate!(&mut tb, FtpServer::new());
+    tb.install_servers(FtpServer::new);
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(FtpClient::new(
             SocketAddr::new(addrs::A_P, FTP_CTRL_PORT),
@@ -114,7 +101,7 @@ fn ftp_survives_primary_failure() {
         )));
     });
     tb.run_for(SimDuration::from_millis(150));
-    tb.kill_primary();
+    tb.kill_replica(0);
     tb.run_for(SimDuration::from_secs(40));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         let c = h.app_mut::<FtpClient>(0);

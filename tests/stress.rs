@@ -10,19 +10,6 @@ use tcp_failover::net::time::SimDuration;
 use tcp_failover::tcp::host::Host;
 use tcp_failover::tcp::types::SocketAddr;
 
-macro_rules! replicate {
-    ($tb:expr, $mk:expr) => {{
-        let tb: &mut Testbed = $tb;
-        tb.sim.with::<Host, _>(tb.primary, |h, _| {
-            h.add_app(Box::new($mk));
-        });
-        let s = tb.secondary.expect("replicated testbed");
-        tb.sim.with::<Host, _>(s, |h, _| {
-            h.add_app(Box::new($mk));
-        });
-    }};
-}
-
 fn lossy_download_with_kill(seed: u64, kill_at_ms: u64, kill_primary: bool) {
     let total = 800_000u64;
     let mut tb = Testbed::new(TestbedConfig {
@@ -32,7 +19,7 @@ fn lossy_download_with_kill(seed: u64, kill_at_ms: u64, kill_primary: bool) {
         loss_to_secondary: 0.01,
         ..TestbedConfig::default()
     });
-    replicate!(&mut tb, SourceServer::new(80));
+    tb.install_servers(|| SourceServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(RequestReplyClient::new(
             SocketAddr::new(addrs::A_P, 80),
@@ -42,9 +29,9 @@ fn lossy_download_with_kill(seed: u64, kill_at_ms: u64, kill_primary: bool) {
     });
     tb.run_for(SimDuration::from_millis(kill_at_ms));
     if kill_primary {
-        tb.kill_primary();
+        tb.kill_replica(0);
     } else {
-        tb.kill_secondary();
+        tb.kill_replica(1);
     }
     tb.run_for(SimDuration::from_secs(120));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
@@ -85,7 +72,7 @@ fn primary_failure_during_handshake() {
             seed,
             ..TestbedConfig::default()
         });
-        replicate!(&mut tb, SourceServer::new(80));
+        tb.install_servers(|| SourceServer::new(80));
         tb.sim.with::<Host, _>(tb.client, |h, _| {
             h.add_app(Box::new(RequestReplyClient::new(
                 SocketAddr::new(addrs::A_P, 80),
@@ -96,7 +83,7 @@ fn primary_failure_during_handshake() {
         // Kill within the first millisecond: the SYN exchange is in
         // flight, the merged SYN+ACK may or may not have left.
         tb.run_for(SimDuration::from_micros(300 + seed * 37));
-        tb.kill_primary();
+        tb.kill_replica(0);
         tb.run_for(SimDuration::from_secs(60));
         tb.sim.with::<Host, _>(tb.client, |h, _| {
             let c = h.app_mut::<RequestReplyClient>(0);
@@ -122,7 +109,7 @@ fn reordering_on_client_path_survives() {
             client_link: LinkParams::fast_ethernet().with_jitter(SimDuration::from_micros(400)),
             ..TestbedConfig::default()
         });
-        replicate!(&mut tb, SourceServer::new(80));
+        tb.install_servers(|| SourceServer::new(80));
         tb.sim.with::<Host, _>(tb.client, |h, _| {
             h.add_app(Box::new(RequestReplyClient::new(
                 SocketAddr::new(addrs::A_P, 80),
@@ -139,7 +126,7 @@ fn reordering_on_client_path_survives() {
                 "seed {seed}: reordering corrupted the stream"
             );
         });
-        let stats = tb.primary_stats();
+        let stats = tb.primary_stats(0);
         assert_eq!(stats.mismatched_bytes, 0);
     }
 }
@@ -155,7 +142,7 @@ fn reordering_loss_and_failover_combined() {
             .with_loss(0.01),
         ..TestbedConfig::default()
     });
-    replicate!(&mut tb, SourceServer::new(80));
+    tb.install_servers(|| SourceServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(RequestReplyClient::new(
             SocketAddr::new(addrs::A_P, 80),
@@ -164,7 +151,7 @@ fn reordering_loss_and_failover_combined() {
         )));
     });
     tb.run_for(SimDuration::from_millis(100));
-    tb.kill_primary();
+    tb.kill_replica(0);
     tb.run_for(SimDuration::from_secs(120));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         let c = h.app_mut::<RequestReplyClient>(0);

@@ -236,13 +236,7 @@ fn retransmission_counter_tracks_paragraph4_recognition() {
 fn failover_timeline_is_complete_and_monotone() {
     let mut tb = Testbed::new(TestbedConfig::default());
     tb.sim.set_trace_enabled(true);
-    tb.sim.with::<Host, _>(tb.primary, |h, _| {
-        h.add_app(Box::new(SourceServer::new(80)));
-    });
-    let s = tb.secondary.unwrap();
-    tb.sim.with::<Host, _>(s, |h, _| {
-        h.add_app(Box::new(SourceServer::new(80)));
-    });
+    tb.install_servers(|| SourceServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(RequestReplyClient::new(
             SocketAddr::new(addrs::A_P, 80),
@@ -251,15 +245,16 @@ fn failover_timeline_is_complete_and_monotone() {
         )));
     });
     tb.run_for(SimDuration::from_millis(60));
-    tb.kill_primary();
+    tb.kill_replica(0);
     tb.run_for(SimDuration::from_secs(10));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         let c = h.app_mut::<RequestReplyClient>(0);
         assert!(c.is_done(), "transfer died at {} bytes", c.received_len());
     });
 
-    // (b) The §5 phase timeline: all phases, monotonically ordered.
-    let tl = &tb.telemetry.timeline;
+    // (b) The §5 phase timeline, on S's hub: all phases, monotonically
+    // ordered.
+    let tl = &tb.hubs[1].timeline;
     assert!(tl.is_complete(), "missing phases:\n{}", tl.breakdown());
     assert!(tl.is_monotone(), "out of order:\n{}", tl.breakdown());
     let failure = tl.at(FailoverPhase::Failure).unwrap();
@@ -319,9 +314,10 @@ fn failover_timeline_is_complete_and_monotone() {
 fn degradation_journals_without_takeover_phases() {
     let mut tb = Testbed::new(TestbedConfig::default());
     tb.run_for(SimDuration::from_millis(50));
-    tb.kill_secondary();
+    tb.kill_replica(1);
     tb.run_for(SimDuration::from_millis(300));
-    let tl = &tb.telemetry.timeline;
+    // P detects S's death and degrades; its hub has the record.
+    let tl = &tb.hubs[0].timeline;
     assert!(tl.at(FailoverPhase::Failure).is_some());
     assert!(tl.at(FailoverPhase::Detection).is_some());
     assert!(tl.is_monotone());
@@ -329,7 +325,7 @@ fn degradation_journals_without_takeover_phases() {
         tl.at(FailoverPhase::ArpTakeover).is_none(),
         "§6 must not run the §5 takeover"
     );
-    let events = tb.telemetry.journal.events();
+    let events = tb.hubs[0].journal.events();
     assert!(
         events.iter().any(|e| e.kind == "degraded"),
         "journal missing degradation: {events:?}"

@@ -17,25 +17,12 @@ fn server_addr(port: u16) -> SocketAddr {
     SocketAddr::new(addrs::A_P, port)
 }
 
-macro_rules! replicate {
-    ($tb:expr, $mk:expr) => {{
-        let tb: &mut Testbed = $tb;
-        tb.sim.with::<Host, _>(tb.primary, |h, _| {
-            h.add_app(Box::new($mk));
-        });
-        let s = tb.secondary.expect("replicated testbed");
-        tb.sim.with::<Host, _>(s, |h, _| {
-            h.add_app(Box::new($mk));
-        });
-    }};
-}
-
 fn assert_all_quiet(tb: &mut Testbed) {
     // Every socket on every stack reached CLOSED (or was reaped), and
     // the primary bridge dropped its per-connection state (§8: "deletes
     // all internal data structures that were allocated for the
     // connection").
-    let nodes = [tb.client, tb.primary, tb.secondary.unwrap()];
+    let nodes = [tb.client, tb.replicas[0], tb.replicas[1]];
     for node in nodes {
         tb.sim.with::<Host, _>(node, |h, _| {
             for id in h.stack().socket_ids() {
@@ -50,7 +37,7 @@ fn assert_all_quiet(tb: &mut Testbed) {
             }
         });
     }
-    let conns = tb.sim.with::<Host, _>(tb.primary, |h, _| {
+    let conns = tb.sim.with::<Host, _>(tb.replicas[0], |h, _| {
         h.filter_mut()
             .as_any_mut()
             .downcast_mut::<ChainBridge>()
@@ -65,7 +52,7 @@ fn assert_all_quiet(tb: &mut Testbed) {
 #[test]
 fn client_initiated_close_cleans_up() {
     let mut tb = Testbed::new(TestbedConfig::default());
-    replicate!(&mut tb, StoreServer::new(80));
+    tb.install_servers(|| StoreServer::new(80));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(StoreClient::new(
             server_addr(80),
@@ -77,7 +64,7 @@ fn client_initiated_close_cleans_up() {
         assert!(h.app_mut::<StoreClient>(0).is_done());
     });
     assert_all_quiet(&mut tb);
-    let stats = tb.primary_stats();
+    let stats = tb.primary_stats(0);
     assert!(stats.fins_sent >= 1, "merged FIN released: {stats:?}");
     assert_eq!(stats.conns_closed, 1);
 }
@@ -86,7 +73,7 @@ fn client_initiated_close_cleans_up() {
 #[test]
 fn sequential_connections_do_not_leak_bridge_state() {
     let mut tb = Testbed::new(TestbedConfig::default());
-    replicate!(&mut tb, SourceServer::new(80));
+    tb.install_servers(|| SourceServer::new(80));
     for i in 0..10 {
         tb.sim.with::<Host, _>(tb.client, |h, _| {
             h.add_app(Box::new(RequestReplyClient::new(
@@ -105,7 +92,7 @@ fn sequential_connections_do_not_leak_bridge_state() {
         });
     }
     assert_all_quiet(&mut tb);
-    let stats = tb.primary_stats();
+    let stats = tb.primary_stats(0);
     assert_eq!(stats.conns_closed, 10);
 }
 
@@ -121,7 +108,7 @@ fn close_under_loss_terminates_cleanly() {
         seed: 77,
         ..TestbedConfig::default()
     });
-    replicate!(&mut tb, StoreServer::new(80));
+    tb.install_servers(|| StoreServer::new(80));
     for _ in 0..5 {
         tb.sim.with::<Host, _>(tb.client, |h, _| {
             h.add_app(Box::new(StoreClient::new(
@@ -151,7 +138,7 @@ fn socket_option_designation_end_to_end() {
         failover_ports: vec![], // no method-2 configuration
         ..TestbedConfig::default()
     });
-    replicate!(&mut tb, EchoServer::new(4444).with_failover_option());
+    tb.install_servers(|| EchoServer::new(4444).with_failover_option());
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         let mut c = RequestReplyClient::new(server_addr(4444), b"option-echo".to_vec(), 11);
         c.verify = false; // echo returns the request, not the pattern
@@ -164,10 +151,10 @@ fn socket_option_designation_end_to_end() {
         assert_eq!(c.received_byte(0), b'o');
     });
     // The secondary really participated (designation reached it).
-    let sstats = tb.secondary_stats();
+    let sstats = tb.secondary_stats(1);
     assert!(sstats.ingress_translated > 0, "stats: {sstats:?}");
     assert!(sstats.egress_diverted > 0);
-    let pstats = tb.primary_stats();
+    let pstats = tb.primary_stats(0);
     assert!(pstats.merged_bytes >= 11);
 }
 
@@ -179,7 +166,7 @@ fn undesignated_traffic_bypasses_bridges() {
         failover_ports: vec![],
         ..TestbedConfig::default()
     });
-    replicate!(&mut tb, EchoServer::new(5555)); // no failover option
+    tb.install_servers(|| EchoServer::new(5555)); // no failover option
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         let mut c = RequestReplyClient::new(server_addr(5555), b"plain".to_vec(), 5);
         c.verify = false;
@@ -189,8 +176,8 @@ fn undesignated_traffic_bypasses_bridges() {
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         assert!(h.app_mut::<RequestReplyClient>(0).is_done());
     });
-    let pstats = tb.primary_stats();
+    let pstats = tb.primary_stats(0);
     assert_eq!(pstats.merged_segments, 0, "bridge must not touch plain TCP");
-    let sstats = tb.secondary_stats();
+    let sstats = tb.secondary_stats(1);
     assert_eq!(sstats.egress_diverted, 0);
 }

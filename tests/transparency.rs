@@ -15,19 +15,6 @@ use tcp_failover::wire::eth::{EtherType, EthernetFrame};
 use tcp_failover::wire::ipv4::Ipv4Packet;
 use tcp_failover::wire::tcp::{verify_segment_checksum, TcpFlags, TcpSegment};
 
-macro_rules! replicate {
-    ($tb:expr, $mk:expr) => {{
-        let tb: &mut Testbed = $tb;
-        tb.sim.with::<Host, _>(tb.primary, |h, _| {
-            h.add_app(Box::new($mk));
-        });
-        let s = tb.secondary.expect("replicated testbed");
-        tb.sim.with::<Host, _>(s, |h, _| {
-            h.add_app(Box::new($mk));
-        });
-    }};
-}
-
 /// Everything the client's NIC received on a run, parsed.
 fn client_rx_segments(tb: &mut Testbed) -> Vec<(Ipv4Packet, TcpSegment)> {
     let client = tb.client;
@@ -51,7 +38,7 @@ fn client_rx_segments(tb: &mut Testbed) -> Vec<(Ipv4Packet, TcpSegment)> {
 #[test]
 fn client_wire_is_one_coherent_conversation_across_failover() {
     let mut tb = Testbed::new(TestbedConfig::default());
-    replicate!(&mut tb, SourceServer::new(80));
+    tb.install_servers(|| SourceServer::new(80));
     tb.sim.set_trace_enabled(true);
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(RequestReplyClient::new(
@@ -61,7 +48,7 @@ fn client_wire_is_one_coherent_conversation_across_failover() {
         )));
     });
     tb.run_for(SimDuration::from_millis(120));
-    tb.kill_primary();
+    tb.kill_replica(0);
     tb.run_for(SimDuration::from_secs(20));
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         let c = h.app_mut::<RequestReplyClient>(0);
@@ -145,7 +132,7 @@ fn acks_to_client_never_exceed_either_replica() {
     // acknowledged byte can be lost in a failover. We verify the
     // conservative observable: the merged ack never regresses.
     let mut tb = Testbed::new(TestbedConfig::default());
-    replicate!(&mut tb, SourceServer::new(80));
+    tb.install_servers(|| SourceServer::new(80));
     tb.sim.set_trace_enabled(true);
     tb.sim.with::<Host, _>(tb.client, |h, _| {
         h.add_app(Box::new(RequestReplyClient::new(
